@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro import LagrangianHydroSolver, SedovProblem, SolverOptions
+from repro import LagrangianHydroSolver, RunConfig, SedovProblem
 from repro.analysis.record import append_bench_record
 from repro.kernels import FEConfig
 
@@ -63,7 +63,7 @@ def measured_pcg_iterations(dim: int = 3, order: int = 2, zones_per_dim: int = 3
     run calibrates the big configurations.
     """
     problem = SedovProblem(dim=dim, order=order, zones_per_dim=zones_per_dim)
-    solver = LagrangianHydroSolver(problem, SolverOptions(max_steps=6))
+    solver = LagrangianHydroSolver(problem, RunConfig(max_steps=6))
     solver.run(t_final=1.0, max_steps=6)
     return solver.workload.pcg_iters_per_solve
 

@@ -12,7 +12,7 @@ property of the RK2Avg pairing, not of quadrature accuracy.
 from _common import measured_pcg_iterations
 
 from repro.analysis.report import Table
-from repro import LagrangianHydroSolver, SedovProblem, SolverOptions
+from repro import LagrangianHydroSolver, RunConfig, SedovProblem
 from repro.gpu import execute_kernel, get_gpu
 from repro.kernels import FEConfig
 from repro.kernels.registry import corner_force_costs
@@ -23,7 +23,7 @@ POINTS = [2, 3, 4, 6]  # 2k = 4 is the paper default for Q2
 
 def one(npts: int, t_final: float = 0.05):
     problem = SedovProblem(dim=2, order=ORDER, zones_per_dim=4)
-    solver = LagrangianHydroSolver(problem, SolverOptions(quad_points_1d=npts))
+    solver = LagrangianHydroSolver(problem, RunConfig(quad_points_1d=npts))
     try:
         result = solver.run(t_final=t_final, max_steps=1500)
         return {

@@ -14,9 +14,8 @@ Quickstart::
     report = run("sedov", RunConfig(zones=8, t_final=0.05))
     print(report.summary())
 
-(The constructor-level API — `LagrangianHydroSolver`, `SolverOptions` —
-remains available; `SolverOptions` is a deprecated shim over
-`RunConfig`, see README.md "Migrating to repro.api".)
+The constructor-level API takes the same config:
+`LagrangianHydroSolver(problem, RunConfig(...)).run()`.
 """
 
 from repro.version import __version__
@@ -24,7 +23,7 @@ from repro.version import __version__
 # Core public API re-exports (kept import-light: heavy subsystems are
 # imported lazily by their subpackages).
 from repro.config import RunConfig
-from repro.hydro.solver import LagrangianHydroSolver, SolverOptions, RunResult
+from repro.hydro.solver import LagrangianHydroSolver, RunResult
 from repro.problems.sedov import SedovProblem
 from repro.problems.triple_point import TriplePointProblem
 from repro.problems.taylor_green import TaylorGreenProblem
@@ -36,7 +35,6 @@ __all__ = [
     "__version__",
     "RunConfig",
     "LagrangianHydroSolver",
-    "SolverOptions",
     "RunResult",
     "SedovProblem",
     "TriplePointProblem",

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.hydro.solver import LagrangianHydroSolver, SolverOptions
+from repro.config import RunConfig
+from repro.hydro.solver import LagrangianHydroSolver
 
 __all__ = ["ConvergencePoint", "convergence_study", "kinetic_energy_metric",
            "observed_rate"]
@@ -41,7 +42,7 @@ def convergence_study(
     configurations: list[tuple[str, Callable[[], object]]],
     t_final: float,
     metric: Callable = kinetic_energy_metric,
-    options: SolverOptions | None = None,
+    config: RunConfig | None = None,
 ) -> list[ConvergencePoint]:
     """Run every configuration and report errors against the last one.
 
@@ -55,7 +56,7 @@ def convergence_study(
     values = []
     dofs = []
     for label, factory in configurations:
-        solver = LagrangianHydroSolver(factory(), options)
+        solver = LagrangianHydroSolver(factory(), config)
         result = solver.run(t_final=t_final)
         if not result.reached_t_final:
             raise RuntimeError(f"configuration '{label}' did not reach t_final")

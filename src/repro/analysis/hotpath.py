@@ -190,14 +190,15 @@ def bench_corner_force(
 
 def bench_full_step(order: int, zones_per_dim: int, steps: int) -> dict:
     """Whole-solver steps/second, legacy vs fused engine, same physics."""
-    from repro.hydro.solver import LagrangianHydroSolver, SolverOptions
+    from repro.config import RunConfig
+    from repro.hydro.solver import LagrangianHydroSolver
     from repro.problems import SedovProblem
 
     rows = {}
     final = {}
-    for label, fused in (("legacy", False), ("workspace", True)):
+    for label, backend in (("legacy", "cpu-serial"), ("workspace", "cpu-fused")):
         problem = SedovProblem(dim=2, order=order, zones_per_dim=zones_per_dim)
-        solver = LagrangianHydroSolver(problem, SolverOptions(fused=fused))
+        solver = LagrangianHydroSolver(problem, RunConfig(backend=backend))
         t0 = time.perf_counter()
         result = solver.run(max_steps=steps)
         elapsed = time.perf_counter() - t0

@@ -1,20 +1,20 @@
 """`repro.api` — the one-call facade over the whole stack.
 
-Four PRs of growth produced a solver, a distributed solver, a
-zone-parallel executor, a resilience driver and a telemetry subsystem,
-each with its own constructor dance. This module composes all of them
-from a single frozen `RunConfig`:
+The solver, its execution backends (including the simulated-MPI
+distributed layer), the resilience driver and the telemetry subsystem
+all read one frozen `RunConfig`; this module composes them:
 
     from repro.api import RunConfig, run
 
     report = run("sedov", RunConfig(zones=8, t_final=0.2))
     print(report.manifest.summary())
 
-`run` picks the serial or distributed solver (`ranks`) and the
-execution backend (`backend="cpu-serial" | "cpu-fused" |
-"cpu-parallel" | "hybrid"`; the deprecated `engine` / `workers`
-spellings still resolve), runs the in-band tuning scheduler for hybrid
-runs, wraps the run in the `ResilientDriver` when resilience knobs are set
+`run` builds one `LagrangianHydroSolver(problem, config)` — its
+execution backend (`backend="cpu-serial" | "cpu-fused" | "cpu-sumfact"
+| "cpu-parallel" | "hybrid"`, or `workers` > 0 for cpu-parallel),
+wrapped in the distributed backend when `ranks` > 0 — runs the in-band
+tuning scheduler for hybrid runs, wraps the run in the
+`ResilientDriver` when resilience knobs are set
 (`faults` / `checkpoint_every` / `offload_device`), attaches the
 telemetry tracer + counter sampler when asked (`telemetry` /
 `trace_path` / `metrics_path`), handles checkpoint restore and VTK /
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import RunConfig, _internal_construction
+from repro.config import RunConfig
 
 __all__ = ["RunConfig", "RunReport", "make_problem", "run"]
 
@@ -137,7 +137,7 @@ def _build_telemetry(cfg: RunConfig):
     return tracer, sampler
 
 
-def _build_resilience(cfg: RunConfig, solver, inner, tracer):
+def _build_resilience(cfg: RunConfig, solver, tracer):
     """Assemble the `ResilientDriver` stack from the config."""
     from repro.resilience import (
         FaultInjector,
@@ -151,8 +151,8 @@ def _build_resilience(cfg: RunConfig, solver, inner, tracer):
         injector = FaultInjector(parse_fault_specs(cfg.faults), seed=cfg.fault_seed)
     offload = None
     # A hybrid-backend run is already a (priced) GPU offload: resilience
-    # then prices faults on the same device without needing the
-    # deprecated offload_device spelling.
+    # then prices faults on the same device without needing
+    # offload_device.
     offload_device = cfg.offload_device or (
         cfg.hybrid_device if cfg.resolved_backend == "hybrid" else None
     )
@@ -162,22 +162,21 @@ def _build_resilience(cfg: RunConfig, solver, inner, tracer):
         from repro.kernels import FEConfig
         from repro.runtime.hybrid import HybridExecutor
 
-        fe_cfg = FEConfig.from_solver(inner)
+        fe_cfg = FEConfig.from_solver(solver)
         executor = HybridExecutor(
             fe_cfg, get_cpu(cfg.telemetry_cpu), get_gpu(offload_device),
             nmpi=max(cfg.ranks, 1),
         )
         offload = GpuOffloadPricer(executor, injector=injector)
-    with _internal_construction():
-        return ResilientDriver(
-            solver,
-            injector=injector,
-            checkpoint_every=cfg.checkpoint_every or 25,
-            checkpoint_dir=cfg.checkpoint_dir,
-            checkpoint_keep=cfg.checkpoint_keep,
-            offload=offload,
-            tracer=tracer,
-        )
+    return ResilientDriver(
+        solver,
+        injector=injector,
+        checkpoint_every=cfg.checkpoint_every or 25,
+        checkpoint_dir=cfg.checkpoint_dir,
+        checkpoint_keep=cfg.checkpoint_keep,
+        offload=offload,
+        tracer=tracer,
+    )
 
 
 def run(problem, config: RunConfig | None = None, **overrides) -> RunReport:
@@ -202,64 +201,54 @@ def run(problem, config: RunConfig | None = None, **overrides) -> RunReport:
 
     from repro.hydro.solver import LagrangianHydroSolver
 
-    options = cfg.to_solver_options()
     # `ranks` composes with every backend: the solver wraps the resolved
-    # node backend in the distributed backend when options.ranks > 0,
-    # and the time loop / telemetry / resilience paths are the standard
+    # node backend in the distributed backend when cfg.ranks > 0, and
+    # the time loop / telemetry / resilience paths are the standard
     # ones in all cases.
-    solver = LagrangianHydroSolver(problem, options, tracer=tracer)
-    inner = solver
+    solver = LagrangianHydroSolver(problem, cfg, tracer=tracer)
 
     if cfg.restore:
         from repro.io import restore_solver
 
-        restore_solver(cfg.restore, inner)
+        restore_solver(cfg.restore, solver)
 
     recovery = None
     try:
         if cfg.resilient:
-            driver = _build_resilience(cfg, solver, inner, tracer)
+            driver = _build_resilience(cfg, solver, tracer)
             rres = driver.run(t_final=cfg.t_final)
             result = rres.result
             recovery = rres.report
             phase_timings = driver.timers.to_dict()
         else:
             result = solver.run(t_final=cfg.t_final)
-            phase_timings = inner.timers.to_dict()
+            phase_timings = solver.timers.to_dict()
 
         comm = getattr(solver.backend, "comm", None)
         mpi_traffic = comm.traffic if comm is not None else None
-        executor_workers = (
-            inner.executor.workers if getattr(inner, "executor", None) else None
-        )
+        executor = solver.executor
+        executor_workers = executor.workers if executor is not None else None
         # Persistent-pool amortization stats (dispatches, mean wake-up
         # latency) and any elastic-rank transitions, for the manifest.
-        executor_stats = (
-            inner.executor.stats()
-            if getattr(inner, "executor", None) is not None
-            and hasattr(inner.executor, "stats")
-            else None
-        )
+        executor_stats = executor.stats() if executor is not None else None
         rank_history = list(getattr(solver.backend, "rank_history", []) or [])
         scheduler_report = (
-            inner.scheduler.report
-            if getattr(inner, "scheduler", None) is not None
-            else None
+            solver.scheduler.report if solver.scheduler is not None else None
         )
 
         vtk_path = checkpoint_path = None
         if cfg.vtk:
             from repro.io import write_vtk
 
-            inner.state = result.state
-            vtk_path = write_vtk(cfg.vtk, inner, state=result.state)
+            solver.state = result.state
+            vtk_path = write_vtk(cfg.vtk, solver, state=result.state)
         if cfg.checkpoint:
             from repro.io import save_checkpoint
 
-            inner.state = result.state
-            checkpoint_path = save_checkpoint(cfg.checkpoint, inner, state=result.state)
+            solver.state = result.state
+            checkpoint_path = save_checkpoint(cfg.checkpoint, solver, state=result.state)
     finally:
-        inner.close()
+        solver.close()
 
     if tracer is not None:
         tracer.finish()
@@ -277,7 +266,7 @@ def run(problem, config: RunConfig | None = None, **overrides) -> RunReport:
     solver_info = {
         "phase_timings": phase_timings,
         # The resolved (ranks, backend, workers) execution triple — what
-        # actually ran, after the legacy spellings resolved.
+        # actually ran, after `workers` resolved into a backend.
         "execution": cfg.resolved_execution,
     }
     if scheduler_report is not None:
@@ -302,11 +291,9 @@ def run(problem, config: RunConfig | None = None, **overrides) -> RunReport:
         }
     if rank_history:
         solver_info["rank_history"] = rank_history
-    arena = getattr(inner, "arena", None)
-    if arena is not None:
-        # Workspace pool accounting: lease/release counters plus the
-        # high-water footprint the run actually touched.
-        solver_info["arena"] = arena.stats()
+    # Workspace pool accounting: lease/release counters plus the
+    # high-water footprint the run actually touched.
+    solver_info["arena"] = solver.arena.stats()
     manifest = RunManifest.from_run(
         problem, cfg, result,
         recovery=recovery, tracer=tracer, sampler=sampler,
@@ -317,7 +304,7 @@ def run(problem, config: RunConfig | None = None, **overrides) -> RunReport:
         config=cfg,
         result=result,
         manifest=manifest,
-        solver=inner,
+        solver=solver,
         recovery=recovery,
         tracer=tracer,
         sampler=sampler,

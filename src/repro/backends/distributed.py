@@ -19,7 +19,8 @@ how the mass operator is applied:
   `CommLedger` exposed/hidden split moves.
 - time step: rank-local minima combined through `iallreduce_min`.
 - momentum PCG: the mass matrix applies as the group-sum of rank-local
-  operators (`DistributedMomentumSolver`).
+  operators (`DistributedMomentumSolver`), with the tolerances the
+  solver's `RunConfig` (`solver.config`) sets.
 
 Resilience routes through the same object (`exclude_rank` rebuilds the
 partition; `swap_node` replaces one rank's node backend after a sticky
@@ -50,7 +51,10 @@ Elasticity: `resize_ranks` repartitions to a new rank count mid-run
 over, a `rank_resize` trace instant emitted), and a `rank_schedule`
 ("step:ranks,step:ranks,...") drives resizes from the solver's step
 hook — grow 4->8 or shrink 8->3 under a running job, building on the
-same rebuild path `exclude_rank` uses.
+same rebuild path `exclude_rank` uses. The schedule is parsed by
+`repro.config.parse_rank_schedule`, the function `RunConfig` validates
+it with, so a malformed schedule is a `ConfigError` when the config is
+built, not when the solver is.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import parse_rank_schedule
 from repro.hydro.corner_force import ForceResult
 from repro.hydro.momentum import MomentumSolver
 from repro.linalg.csr import CSRMatrix
@@ -75,30 +80,6 @@ __all__ = [
     "DistributedMomentumSolver",
     "VectorizedDistributedMomentumSolver",
 ]
-
-
-def _parse_rank_schedule(schedule: "str | None") -> dict[int, int]:
-    """Parse "step:ranks,step:ranks,..." into {step: nranks}."""
-    if not schedule:
-        return {}
-    out: dict[int, int] = {}
-    for item in str(schedule).split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            step_s, ranks_s = item.split(":")
-            step, ranks = int(step_s), int(ranks_s)
-        except ValueError:
-            raise ValueError(
-                f"bad rank_schedule entry '{item}' (want 'step:ranks', e.g. '10:8')"
-            ) from None
-        if step < 1 or ranks < 1:
-            raise ValueError(f"rank_schedule entry '{item}': step and ranks must be >= 1")
-        if step in out:
-            raise ValueError(f"rank_schedule repeats step {step}")
-        out[step] = ranks
-    return out
 
 
 @dataclass
@@ -291,7 +272,7 @@ class DistributedBackend:
         self.node_kwargs = dict(node_kwargs or {})
         self.overlap = bool(overlap)
         self.rank_step = rank_step
-        self.rank_schedule = _parse_rank_schedule(rank_schedule)
+        self.rank_schedule = parse_rank_schedule(rank_schedule)
         self._zone_rank_init = zone_rank
         self._initial_nranks = nranks
         self.fault_injector = fault_injector
@@ -372,8 +353,8 @@ class DistributedBackend:
                 self._vec_plan,
                 self.nranks,
                 self.comm,
-                tol=solver.options.pcg_tol,
-                maxiter=solver.options.pcg_maxiter,
+                tol=solver.config.pcg_tol,
+                maxiter=solver.config.pcg_maxiter,
             )
         else:
             self.momentum = DistributedMomentumSolver(
@@ -381,8 +362,8 @@ class DistributedBackend:
                 solver.bc,
                 [r.mass_local for r in self.ranks],
                 self.comm,
-                tol=solver.options.pcg_tol,
-                maxiter=solver.options.pcg_maxiter,
+                tol=solver.config.pcg_tol,
+                maxiter=solver.config.pcg_maxiter,
             )
         solver.momentum = self.momentum
         solver.integrator.momentum = self.momentum

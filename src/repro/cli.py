@@ -33,6 +33,8 @@ _PROBLEMS = ("sedov", "triple-pt", "taylor-green", "noh", "saltzman", "sod")
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for shell completion)."""
+    from repro.config import DEFAULT_MAX_STEPS
+
     p = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -43,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--zones", type=int, default=8, help="zones per dimension")
     run.add_argument("--t-final", type=float, default=None)
     run.add_argument("--cfl", type=float, default=None)
-    run.add_argument("--max-steps", type=int, default=100_000)
+    run.add_argument("--max-steps", type=int, default=None,
+                     help=f"step budget (default {DEFAULT_MAX_STEPS})")
     run.add_argument("--integrator", default="rk2avg", choices=("rk2avg", "euler", "rk4"))
     run.add_argument("--vtk", default=None, help="write a VTK snapshot here")
     run.add_argument("--checkpoint", default=None, help="write a checkpoint here")
@@ -51,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", default=None,
                      choices=("cpu-serial", "cpu-fused", "cpu-sumfact",
                               "cpu-parallel", "hybrid"),
-                     help="execution backend: the legacy reference engine, the "
+                     help="execution backend: the staged reference engine, the "
                           "fused zero-allocation path (default), the "
                           "matrix-free sum-factorization engine, the "
                           "shared-memory zone-parallel executor, or the "
@@ -77,13 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "space (default: greedy local coordinate descent)")
     run.add_argument("--workers", type=int, default=0, metavar="N",
                      help="evaluate corner forces over N shared-memory worker "
-                          "processes (deprecated spelling of "
-                          "--backend cpu-parallel)")
-    run.add_argument("--engine", default=None, choices=("fused", "legacy"),
-                     help="deprecated: use --backend cpu-fused / cpu-serial")
-    # Hidden alias for the pre-RunConfig spelling of --engine legacy.
-    run.add_argument("--legacy-engine", action="store_true",
-                     help=argparse.SUPPRESS)
+                          "processes (implies --backend cpu-parallel)")
     run.add_argument("--ranks", type=int, default=0, metavar="N",
                      help="partition the mesh over N simulated-MPI ranks; "
                           "composes with --backend (each rank runs the "
@@ -197,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--order", type=int, default=2)
     submit.add_argument("--zones", type=int, default=8)
     submit.add_argument("--t-final", type=float, default=None)
-    submit.add_argument("--max-steps", type=int, default=100_000)
+    submit.add_argument("--max-steps", type=int, default=None,
+                        help=f"step budget (default {DEFAULT_MAX_STEPS})")
     submit.add_argument("--backend", default=None,
                         choices=("cpu-serial", "cpu-fused", "cpu-sumfact",
                                  "cpu-parallel", "hybrid"))
@@ -212,12 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    from repro._compat import warn_deprecated
     from repro.api import RunConfig, run
 
-    engine = "legacy" if args.legacy_engine else args.engine
-    if engine is not None:
-        warn_deprecated("--engine/--legacy-engine", stacklevel=2)
     cfg = RunConfig(
         dim=args.dim,
         order=args.order,
@@ -226,7 +220,6 @@ def _cmd_run(args) -> int:
         max_steps=args.max_steps,
         cfl=args.cfl,
         integrator=args.integrator,
-        engine=engine or "fused",
         workers=args.workers,
         backend=args.backend,
         hybrid_device=args.hybrid_device,

@@ -1,14 +1,12 @@
 """`RunConfig`: the one frozen configuration for a whole run.
 
-Three PRs of growth left four overlapping entry points
-(`LagrangianHydroSolver`, `DistributedLagrangianSolver`,
-`ResilientDriver`, the CLI), each with its own spelling of the same
-knobs. `RunConfig` consolidates them: solver choice (serial /
-distributed), engine (fused / legacy), zone-parallel workers,
-resilience, and telemetry all come from this single immutable dataclass,
-consumed by `repro.api.run`. The legacy constructors (`SolverOptions`,
-direct `ResilientDriver` use) keep working as deprecation shims that
-route through this type — see the migration table in README.md.
+Every entry point reads this single immutable dataclass: the solver
+(`LagrangianHydroSolver(problem, config)` keeps it as `solver.config`),
+the distributed backend and the `ResilientDriver` (through
+`solver.config`), the service fleet (journaled in every `JobSpec`), and
+`repro.api.run`, which composes them. Execution backend, simulated
+ranks, zone-parallel workers, resilience and telemetry are all fields
+here; `resolved_backend` is the one place a backend name is resolved.
 
 This module stays import-light (stdlib only) so every layer can depend
 on it without cycles.
@@ -16,20 +14,21 @@ on it without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import dataclasses
+from dataclasses import dataclass, fields
 
-# Historical import site: the suppress machinery moved to
-# `repro._compat` when the shims were consolidated; these names keep
-# working for anything that imported them from here.
-from repro._compat import (  # noqa: F401  (re-exported)
-    deprecations_suppressed as _deprecations_suppressed,
-    internal_construction as _internal_construction,
-)
 from repro.errors import ConfigError
 
-__all__ = ["RunConfig", "validate_order", "MAX_ORDER"]
+__all__ = [
+    "RunConfig",
+    "validate_order",
+    "parse_rank_schedule",
+    "MAX_ORDER",
+    "DEFAULT_MAX_STEPS",
+]
 
-_ENGINES = ("fused", "legacy")
+#: Step budget of a run whose config leaves `max_steps` unset.
+DEFAULT_MAX_STEPS = 100_000
 _INTEGRATORS = ("rk2avg", "euler", "rk4")
 _BACKENDS = ("cpu-serial", "cpu-fused", "cpu-sumfact", "cpu-parallel", "hybrid")
 # Supported kinematic orders: the Qk-Qk-1 pairing needs k >= 1, and the
@@ -55,6 +54,33 @@ def validate_order(order) -> int:
             f"(hint: the Qk-Qk-1 pairing supports 1 <= order <= {MAX_ORDER})"
         )
     return order
+
+
+def parse_rank_schedule(schedule: "str | None") -> dict[int, int]:
+    """Parse an elastic-rank schedule "step:ranks,step:ranks,..." into
+    {step: nranks}; a malformed one raises `ConfigError`."""
+    if not schedule:
+        return {}
+    out: dict[int, int] = {}
+    for item in str(schedule).split(","):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            step_s, ranks_s = item.split(":")
+            step, ranks = int(step_s), int(ranks_s)
+        except ValueError:
+            raise ConfigError(
+                f"bad rank_schedule entry '{item}' (want 'step:ranks', e.g. '10:8')"
+            ) from None
+        if step < 1 or ranks < 1:
+            raise ConfigError(f"rank_schedule entry '{item}': step and ranks must be >= 1")
+        if step in out:
+            raise ConfigError(f"rank_schedule repeats step {step}")
+        out[step] = ranks
+    return out
+
+
 # Tuning-engine knobs (must mirror repro.tuning.search registries; a
 # test cross-checks). Kept as literals so this module stays import-light.
 _TUNING_OBJECTIVES = ("time", "energy", "edp")
@@ -72,14 +98,14 @@ class RunConfig:
     `quad_points_1d` / `pcg_tol` / `pcg_maxiter` / `energy_every` /
     `record_dt_history` mirror the solver knobs.
 
-    Execution: `backend` is the unified policy selector — "cpu-serial"
-    (legacy reference engine), "cpu-fused" (zero-allocation hot path,
+    Execution: `backend` is the policy selector — "cpu-serial"
+    (staged reference engine), "cpu-fused" (zero-allocation hot path,
     the default), "cpu-sumfact" (matrix-free sum-factorization engine,
     O(order^{d+1}) per zone), "cpu-parallel" (shared-memory
-    zone-parallel executor) or "hybrid" (fused execution priced as a
-    CPU/GPU zone split, with in-band tuning via `repro.sched`). `engine` / `workers` are the
-    deprecated spellings and resolve into a backend when `backend` is
-    None (see `resolved_backend`); `ranks` > 0 wraps the resolved
+    zone-parallel executor over `workers` processes) or "hybrid" (fused
+    execution priced as a CPU/GPU zone split, with in-band tuning via
+    `repro.sched`). Left as None it resolves from `workers` (see
+    `resolved_backend`); `ranks` > 0 wraps the resolved
     backend in the simulated-MPI distributed backend (composable with
     every node backend), and `overlap` toggles whether the
     interface-dof exchange is priced as hidden under interior-zone
@@ -112,7 +138,6 @@ class RunConfig:
     energy_every: int = 1
     record_dt_history: bool = True
     # execution
-    engine: str = "fused"
     workers: int = 0
     ranks: int = 0
     overlap: bool = True
@@ -124,7 +149,7 @@ class RunConfig:
     rank_step: str = "auto"
     # Elastic-rank schedule "step:ranks,step:ranks,..." — e.g. "10:8,20:3"
     # grows to 8 ranks after step 10 and shrinks to 3 after step 20
-    # (deterministic repartition; only meaningful with ranks > 0).
+    # (deterministic repartition; needs ranks > 0).
     rank_schedule: str | None = None
     backend: str | None = None
     hybrid_device: str = "K20"
@@ -164,10 +189,6 @@ class RunConfig:
 
     def __post_init__(self):
         validate_order(self.order)
-        if self.engine not in _ENGINES:
-            raise ConfigError(
-                f"unknown engine '{self.engine}' (choose from {_ENGINES})"
-            )
         if self.integrator not in _INTEGRATORS:
             raise ConfigError(
                 f"unknown integrator '{self.integrator}' "
@@ -182,6 +203,7 @@ class RunConfig:
             )
         if self.rank_schedule and self.ranks < 1:
             raise ConfigError("rank_schedule requires ranks >= 1")
+        parse_rank_schedule(self.rank_schedule)
         if self.backend is not None:
             if self.backend not in _BACKENDS:
                 raise ConfigError(
@@ -192,11 +214,6 @@ class RunConfig:
                 raise ConfigError(
                     f"workers={self.workers} conflicts with "
                     f"backend='{self.backend}' (workers imply cpu-parallel)"
-                )
-            if self.engine == "legacy" and self.backend != "cpu-serial":
-                raise ConfigError(
-                    f"engine='legacy' conflicts with backend="
-                    f"'{self.backend}' (the legacy engine is cpu-serial)"
                 )
         if self.tune_period_steps < 1:
             raise ConfigError("tune_period_steps must be >= 1")
@@ -219,20 +236,13 @@ class RunConfig:
 
     @property
     def resolved_backend(self) -> str:
-        """The effective execution policy.
-
-        An explicit `backend` wins; otherwise the deprecated knobs
-        resolve exactly as they always behaved: `workers` > 0 means the
-        zone-parallel executor, `engine="legacy"` the reference engine,
-        and everything else the fused default.
+        """The effective execution policy, the one place a backend name
+        is resolved: an explicit `backend` wins, `workers` > 0 means the
+        zone-parallel executor, and everything else the fused default.
         """
         if self.backend is not None:
             return self.backend
-        if self.workers > 0:
-            return "cpu-parallel"
-        if self.engine == "legacy":
-            return "cpu-serial"
-        return "cpu-fused"
+        return "cpu-parallel" if self.workers > 0 else "cpu-fused"
 
     @property
     def resolved_execution(self) -> dict:
@@ -257,68 +267,13 @@ class RunConfig:
         """Whether the run goes through the `ResilientDriver`."""
         return bool(self.faults or self.checkpoint_every or self.offload_device)
 
-    def to_solver_options(self):
-        """The `SolverOptions` equivalent (no deprecation warning)."""
-        from repro.hydro.solver import SolverOptions
-
-        with _internal_construction():
-            return SolverOptions(
-                quad_points_1d=self.quad_points_1d,
-                cfl=self.cfl,
-                integrator=self.integrator,
-                pcg_tol=self.pcg_tol,
-                pcg_maxiter=self.pcg_maxiter,
-                max_steps=self.max_steps if self.max_steps is not None else 100_000,
-                energy_every=self.energy_every,
-                record_dt_history=self.record_dt_history,
-                fused=self.engine == "fused",
-                workers=self.workers,
-                ranks=self.ranks,
-                overlap=self.overlap,
-                rank_step=self.rank_step,
-                rank_schedule=self.rank_schedule,
-                backend=self.resolved_backend,
-                hybrid_device=self.hybrid_device,
-                tuning_cache=self.tuning_cache,
-                tune_period_steps=self.tune_period_steps,
-                tuning_strict=self.tuning_strict,
-                tuning_objective=self.tuning_objective,
-                tuning_strategy=self.tuning_strategy,
-            )
-
-    @classmethod
-    def from_solver_options(cls, options, **overrides) -> "RunConfig":
-        """Lift legacy `SolverOptions` into a `RunConfig` (shim path)."""
-        mapped = dict(
-            quad_points_1d=options.quad_points_1d,
-            cfl=options.cfl,
-            integrator=options.integrator,
-            pcg_tol=options.pcg_tol,
-            pcg_maxiter=options.pcg_maxiter,
-            max_steps=options.max_steps,
-            energy_every=options.energy_every,
-            record_dt_history=options.record_dt_history,
-            engine="fused" if options.fused else "legacy",
-            workers=options.workers,
-            ranks=getattr(options, "ranks", 0),
-            overlap=getattr(options, "overlap", True),
-            rank_step=getattr(options, "rank_step", "auto"),
-            rank_schedule=getattr(options, "rank_schedule", None),
-            backend=options.backend,
-            hybrid_device=options.hybrid_device,
-            tuning_cache=options.tuning_cache,
-            tune_period_steps=options.tune_period_steps,
-            tuning_strict=getattr(options, "tuning_strict", False),
-            tuning_objective=getattr(options, "tuning_objective", "time"),
-            tuning_strategy=getattr(options, "tuning_strategy", "local"),
-        )
-        mapped.update(overrides)
-        return cls(**mapped)
+    @property
+    def resolved_max_steps(self) -> int:
+        """The step budget: `max_steps`, else `DEFAULT_MAX_STEPS`."""
+        return self.max_steps if self.max_steps is not None else DEFAULT_MAX_STEPS
 
     def replace(self, **changes) -> "RunConfig":
         """A copy with the given fields changed (frozen-friendly)."""
-        import dataclasses
-
         return dataclasses.replace(self, **changes)
 
     def describe(self) -> dict:

@@ -17,7 +17,7 @@ from repro.hydro.viscosity import ViscosityCoefficients, tensor_viscosity
 from repro.hydro.corner_force import ForceEngine, ForceResult
 from repro.hydro.timestep import TimestepController
 from repro.hydro.integrator import RK2AvgIntegrator
-from repro.hydro.solver import LagrangianHydroSolver, SolverOptions, RunResult
+from repro.hydro.solver import LagrangianHydroSolver, RunResult
 from repro.hydro.diagnostics import EnergyBreakdown
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "TimestepController",
     "RK2AvgIntegrator",
     "LagrangianHydroSolver",
-    "SolverOptions",
     "RunResult",
     "EnergyBreakdown",
 ]

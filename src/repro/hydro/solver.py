@@ -11,17 +11,21 @@ The solver carries a `WorkloadRecorder` describing exactly what was
 computed (zones, points, force evaluations, PCG iterations) so that the
 simulated CPU/GPU hardware models can meter time/power for the same run
 without re-running physics.
+
+Its one configuration is the frozen `repro.config.RunConfig`, kept as
+`solver.config`: the execution backend, the step budget, the dt and
+PCG knobs and the in-band tuning settings are all read from it. The
+distributed backend and the `ResilientDriver` read the same object.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro._compat import warn_deprecated
-from repro.config import RunConfig, _internal_construction
+from repro.config import RunConfig
 from repro.fem.geometry import GeometryEvaluator
 from repro.fem.quadrature import tensor_quadrature
 from repro.fem.spaces import H1Space, L2Space
@@ -30,114 +34,12 @@ from repro.hydro.corner_force import ForceEngine, SumfactForceEngine
 from repro.hydro.workspace import Workspace
 from repro.runtime.arena import Arena
 from repro.hydro.diagnostics import EnergyBreakdown, compute_energies
-from repro.hydro.integrator import RK2AvgIntegrator, make_integrator
+from repro.hydro.integrator import make_integrator
 from repro.hydro.momentum import MomentumSolver
 from repro.hydro.state import HydroState
 from repro.hydro.timestep import TimestepController
 
-__all__ = ["SolverOptions", "RunResult", "WorkloadRecorder", "LagrangianHydroSolver"]
-
-
-def resolve_backend_name(options) -> str:
-    """Map (possibly legacy-spelled) options to a node-backend name.
-
-    With `ranks` > 0 this names the per-rank *node* backend the
-    distributed layer wraps; otherwise the whole execution policy.
-    """
-    if options.executor not in ("serial", "parallel"):
-        raise ValueError(
-            f"unknown executor '{options.executor}' "
-            "(choose 'serial' or 'parallel')"
-        )
-    if options.backend is not None:
-        return options.backend
-    if options.workers > 0 or options.executor == "parallel":
-        return "cpu-parallel"
-    if not options.fused:
-        return "cpu-serial"
-    return "cpu-fused"
-
-
-def backend_kwargs(options) -> dict:
-    """Constructor kwargs for the resolved node backend."""
-    name = resolve_backend_name(options)
-    if name == "cpu-parallel":
-        return {"workers": options.workers or None}
-    if name == "hybrid":
-        return {"device": options.hybrid_device}
-    return {}
-
-
-@dataclass
-class SolverOptions:
-    """Tunable solver knobs (deprecated shim — use `repro.api.RunConfig`).
-
-    Direct construction keeps working but routes through the unified
-    `RunConfig` (stored as `self.config`) and emits a
-    `DeprecationWarning`: new code should call
-    `repro.api.run(problem, RunConfig(engine=..., workers=...))`, or
-    pass a `RunConfig` straight to `LagrangianHydroSolver`. The full
-    field mapping is documented in README.md ("Migrating to repro.api").
-
-    quad_points_1d : quadrature points per dimension (None = the
-        problem's default, 2k, which reproduces the paper's shapes).
-    pcg_tol : momentum PCG relative tolerance. The tight default is what
-        lets total energy conservation reach machine precision.
-    """
-
-    quad_points_1d: int | None = None
-    cfl: float | None = None
-    integrator: str = "rk2avg"
-    pcg_tol: float = 1e-14
-    pcg_maxiter: int | None = None
-    max_steps: int = 100_000
-    energy_every: int = 1
-    record_dt_history: bool = True
-    # Hot-path controls (deprecated spellings): `fused` selects the
-    # zero-allocation workspace engine; `executor`/`workers` enable the
-    # shared-memory zone-parallel corner-force executor. All three now
-    # route into the unified `backend` selection below.
-    fused: bool = True
-    executor: str = "serial"
-    workers: int = 0
-    # Unified execution policy: one of repro.backends.BACKEND_NAMES, or
-    # None to resolve from the legacy knobs (workers>0 -> cpu-parallel,
-    # fused=False -> cpu-serial, else cpu-fused).
-    backend: str | None = None
-    # Simulated-MPI layer: ranks > 0 wraps the resolved backend in the
-    # distributed backend (one node backend per rank); `overlap`
-    # controls whether the interface-dof exchange hides under
-    # interior-zone evaluation (pricing only, physics identical).
-    ranks: int = 0
-    overlap: bool = True
-    # Rank-stepping mode ("auto"/"loop"/"vectorized") and the optional
-    # elastic-rank schedule "step:ranks,..." (see RunConfig).
-    rank_step: str = "auto"
-    rank_schedule: str | None = None
-    # Hybrid-backend knobs: the simulated device pricing the GPU side,
-    # the tuning-cache path for warm starts, and the sampling-period
-    # length of the in-band scheduler.
-    hybrid_device: str = "K20"
-    tuning_cache: str | None = None
-    tune_period_steps: int = 40
-    # Strict tuning-cache mode: corrupt cache files raise the typed
-    # TuningCacheCorruptionError instead of warning + starting fresh.
-    tuning_strict: bool = False
-    # In-band tuning engine: the objective the campaign minimizes and
-    # the search strategy that walks the joint configuration space.
-    tuning_objective: str = "time"
-    tuning_strategy: str = "local"
-
-    def __post_init__(self):
-        warn_deprecated("SolverOptions")
-        # Route through the consolidated config: this is the canonical
-        # form the facade and the RunManifest see.
-        self.config = RunConfig.from_solver_options(self)
-
-    @classmethod
-    def from_config(cls, config: RunConfig) -> "SolverOptions":
-        """Internal lowering of a `RunConfig` (no deprecation warning)."""
-        return config.to_solver_options()
+__all__ = ["RunResult", "WorkloadRecorder", "LagrangianHydroSolver"]
 
 
 @dataclass
@@ -184,32 +86,32 @@ class RunResult:
 class LagrangianHydroSolver:
     """High-order FEM Lagrangian hydrodynamics on a fixed topology mesh.
 
-    `options` accepts the unified `RunConfig` (preferred), the legacy
-    `SolverOptions`, or None for defaults. An optional
-    `repro.telemetry.Tracer` makes the solver emit step/phase/kernel
-    spans; without one (the default), tracing code never runs.
+    `config` is the run's `RunConfig` (None means `RunConfig()`); only
+    its run-control and execution fields matter here, the problem is
+    already built. An optional `repro.telemetry.Tracer` makes the solver
+    emit step/phase/kernel spans; without one (the default), tracing
+    code never runs.
     """
 
-    def __init__(self, problem, options: SolverOptions | RunConfig | None = None,
+    def __init__(self, problem, config: RunConfig | None = None,
                  tracer=None, backend=None, arena: Arena | None = None):
+        if config is None:
+            config = RunConfig()
+        elif not isinstance(config, RunConfig):
+            raise TypeError(f"config must be a RunConfig, got {type(config).__name__}")
         self.problem = problem
+        self.config = config
         # The pool allocator behind every workspace this solver creates
         # (engine, span workspaces). A shared arena — e.g. the service
         # warm pool's — lets a retired solver's blocks satisfy the next
         # solver's leases even across mesh-size changes.
         self.arena = arena if arena is not None else Arena(name="solver")
-        if isinstance(options, RunConfig):
-            options = options.to_solver_options()
-        elif options is None:
-            with _internal_construction():
-                options = SolverOptions()
-        self.options = options
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None
         mesh = problem.mesh
         k = problem.kinematic_order
         self.kinematic = H1Space(mesh, k)
         self.thermodynamic = L2Space(mesh, problem.thermodynamic_order)
-        npts = self.options.quad_points_1d or problem.quad_points_1d
+        npts = config.quad_points_1d or problem.quad_points_1d
         self.quad = tensor_quadrature(mesh.dim, npts)
 
         # Initial geometry and fields.
@@ -228,26 +130,29 @@ class LagrangianHydroSolver:
         # force evaluator the integrator will run. `ranks` > 0 wraps the
         # resolved node backend in the simulated-MPI distributed layer;
         # a pre-built backend instance wins over both.
-        from repro.backends import make_backend
+        if backend is None:
+            from repro.backends import make_backend
 
-        if backend is not None:
-            self.backend = backend
-        elif self.options.ranks > 0:
-            from repro.backends.distributed import DistributedBackend
+            name = config.resolved_backend
+            node_kwargs = {}
+            if name == "cpu-parallel":
+                node_kwargs = {"workers": config.workers or None}
+            elif name == "hybrid":
+                node_kwargs = {"device": config.hybrid_device}
+            if config.ranks > 0:
+                from repro.backends.distributed import DistributedBackend
 
-            self.backend = DistributedBackend(
-                self.options.ranks,
-                node=self._resolve_backend_name(),
-                node_kwargs=self._backend_kwargs(),
-                overlap=self.options.overlap,
-                rank_step=getattr(self.options, "rank_step", "auto"),
-                rank_schedule=getattr(self.options, "rank_schedule", None),
-            )
-        else:
-            self.backend = make_backend(
-                self._resolve_backend_name(),
-                **self._backend_kwargs(),
-            )
+                backend = DistributedBackend(
+                    config.ranks,
+                    node=name,
+                    node_kwargs=node_kwargs,
+                    overlap=config.overlap,
+                    rank_step=config.rank_step,
+                    rank_schedule=config.rank_schedule,
+                )
+            else:
+                backend = make_backend(name, **node_kwargs)
+        self.backend = backend
         self.backend.attach(self)
         self.engine = self.backend.engine
 
@@ -263,12 +168,12 @@ class LagrangianHydroSolver:
 
         self.bc = problem.boundary_conditions(self.kinematic)
         self.momentum = MomentumSolver(
-            self.mass_v, self.bc, tol=self.options.pcg_tol, maxiter=self.options.pcg_maxiter
+            self.mass_v, self.bc, tol=config.pcg_tol, maxiter=config.pcg_maxiter
         )
         from repro.runtime.instrumentation import PhaseTimers
 
         self.integrator = make_integrator(
-            self.options.integrator, self.engine, self.momentum, self.mass_e,
+            config.integrator, self.engine, self.momentum, self.mass_e,
             timers=PhaseTimers(tracer=self.tracer),
         )
         # Phase timers shared with the integrator: "force" and "cg" are
@@ -310,7 +215,7 @@ class LagrangianHydroSolver:
         reset + `run` reproduces a cold solver's trajectory bit-for-bit
         at a fraction of the setup cost.
         """
-        problem = self.problem
+        problem, config = self.problem, self.config
         mesh = problem.mesh
 
         # Backend rewind first: a distributed backend restores its
@@ -336,20 +241,17 @@ class LagrangianHydroSolver:
             from repro.tuning.cache import TuningCache
 
             cache = (
-                TuningCache(
-                    self.options.tuning_cache,
-                    strict=getattr(self.options, "tuning_strict", False),
-                )
-                if self.options.tuning_cache
+                TuningCache(config.tuning_cache, strict=config.tuning_strict)
+                if config.tuning_cache
                 else None
             )
             self.scheduler = OnlineScheduler(
                 target,
                 cache=cache,
                 config=SchedulerConfig(
-                    steps_per_period=self.options.tune_period_steps,
-                    objective=getattr(self.options, "tuning_objective", "time"),
-                    strategy=getattr(self.options, "tuning_strategy", "local"),
+                    steps_per_period=config.tune_period_steps,
+                    objective=config.tuning_objective,
+                    strategy=config.tuning_strategy,
                 ),
                 tracer=self.tracer,
             )
@@ -364,7 +266,7 @@ class LagrangianHydroSolver:
         self._last_dt_est = 0.0
 
         self.controller = TimestepController(
-            cfl=self.options.cfl if self.options.cfl is not None else problem.default_cfl
+            cfl=config.cfl if config.cfl is not None else problem.default_cfl
         )
         self.workload = WorkloadRecorder(
             nzones=mesh.nzones,
@@ -377,13 +279,6 @@ class LagrangianHydroSolver:
         self.timers.reset()
 
     # -- Execution backend -------------------------------------------------------
-
-    def _resolve_backend_name(self) -> str:
-        """Map the (possibly legacy-spelled) options to a backend name."""
-        return resolve_backend_name(self.options)
-
-    def _backend_kwargs(self) -> dict:
-        return backend_kwargs(self.options)
 
     def _make_engine(self, fused: bool, sumfact: bool = False) -> ForceEngine:
         """Build one `ForceEngine` flavour (backend construction hook)."""
@@ -440,7 +335,7 @@ class LagrangianHydroSolver:
             # momentum operator and the default RHS assembly.
             self.momentum = MomentumSolver(
                 self.mass_v, self.bc,
-                tol=self.options.pcg_tol, maxiter=self.options.pcg_maxiter,
+                tol=self.config.pcg_tol, maxiter=self.config.pcg_maxiter,
             )
             self.integrator.momentum = self.momentum
             self.integrator.assemble_fn = None
@@ -485,7 +380,15 @@ class LagrangianHydroSolver:
     # -- Time stepping ------------------------------------------------------------
 
     def initialize_dt(self) -> float:
-        """Step 3: initial dt from a corner-force estimate at t=0."""
+        """Step 3: the first dt of a march, restart-aware.
+
+        A solver carrying controller state (restored from a checkpoint,
+        or continuing a previous run) keeps its dt ramp — this is what
+        makes a restart reproduce the uninterrupted run bit-for-bit.
+        Otherwise dt comes from a corner-force estimate at t=0.
+        """
+        if self.controller.dt > 0 and self._last_dt_est > 0:
+            return self.controller.dt
         before = self.timers.total("force")
         with self.timers.measure("force"):
             force = self.integrator.force_fn(self.state)
@@ -494,7 +397,9 @@ class LagrangianHydroSolver:
         self.workload.wall_force_s += elapsed
         if not force.valid or force.dt_est <= 0:
             raise RuntimeError("initial configuration is invalid")
-        return self.controller.initialize(force.dt_est)
+        dt = self.controller.initialize(force.dt_est)
+        self._last_dt_est = dt / self.controller.cfl
+        return dt
 
     def step(self, dt: float) -> bool:
         """Attempt one step of size dt; returns acceptance.
@@ -552,17 +457,10 @@ class LagrangianHydroSolver:
 
     def _run_impl(self, t_final: float | None, max_steps: int | None) -> RunResult:
         t_final = t_final if t_final is not None else self.problem.default_t_final
-        max_steps = max_steps if max_steps is not None else self.options.max_steps
+        max_steps = max_steps if max_steps is not None else self.config.resolved_max_steps
         energy_history = [self.energies()]
         dt_history: list[float] = []
-        # A solver carrying controller state (restored from a checkpoint,
-        # or continuing a previous run) keeps its dt ramp — this is what
-        # makes a restart reproduce the uninterrupted run bit-for-bit.
-        if self.controller.dt > 0 and getattr(self, "_last_dt_est", 0.0) > 0:
-            dt = self.controller.dt
-        else:
-            dt = self.initialize_dt()
-            self._last_dt_est = dt / self.controller.cfl
+        self.initialize_dt()
         steps = 0
         while self.state.t < t_final - 1e-15 and steps < max_steps:
             dt = self.controller.propose(self._last_dt_est, self.state.t, t_final)
@@ -581,9 +479,9 @@ class LagrangianHydroSolver:
             backend_on_step = getattr(self.backend, "on_step", None)
             if backend_on_step is not None:
                 backend_on_step(self.workload.steps)
-            if self.options.record_dt_history:
+            if self.config.record_dt_history:
                 dt_history.append(dt)
-            if steps % self.options.energy_every == 0:
+            if steps % self.config.energy_every == 0:
                 energy_history.append(self.energies())
         if self.scheduler is not None:
             self.scheduler.finalize()

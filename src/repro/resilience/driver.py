@@ -1,8 +1,8 @@
-"""Checkpointed auto-recovery driver for the Lagrangian solvers.
+"""Checkpointed auto-recovery driver for the Lagrangian solver.
 
-`ResilientDriver` wraps a `LagrangianHydroSolver` or a
-`DistributedLagrangianSolver` and runs the time loop the way a
-production job would: snapshot the state every `checkpoint_every`
+`ResilientDriver` wraps a `LagrangianHydroSolver` (serial or, with
+`ranks` > 0 in its `RunConfig`, distributed) and runs the time loop the
+way a production job would: snapshot the state every `checkpoint_every`
 accepted steps (in memory, optionally also to disk through the hardened
 `repro.io.checkpoint`), watch the physics invariants after every step,
 and on a fault apply the `RecoveryPolicy` — retry, GPU->CPU fallback
@@ -15,6 +15,11 @@ time, and the time/energy overhead relative to a fault-free hybrid run
 — turning the paper's "the frequency of checking points can be reduced"
 claim into a measurable trade-off (see
 `benchmarks/bench_resilience_overhead.py`).
+
+The driver reads the run's settings (step budget) from `solver.config`
+and starts the march with the solver's own restart-aware
+`initialize_dt`. `repro.api.run` builds it from the `RunConfig`
+resilience fields; direct construction is equally supported.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro._compat import warn_deprecated
 from repro.hydro.solver import RunResult
 from repro.hydro.state import HydroState
 from repro.resilience.faults import FaultInjector, RankFailure
@@ -157,52 +161,14 @@ class _Snapshot:
     n_dt: int
 
 
-class _SerialAdapter:
-    """Uniform stepping interface over `LagrangianHydroSolver`."""
-
-    def __init__(self, solver):
-        self.solver = solver
-        self.controller = solver.controller
-        self.inner = solver  # the solver that owns spaces/problem/workload
-
-    @property
-    def state(self) -> HydroState:
-        return self.solver.state
-
-    def set_state(self, state: HydroState) -> None:
-        self.solver.state = state
-
-    @property
-    def last_dt_est(self) -> float:
-        return getattr(self.solver, "_last_dt_est", 0.0)
-
-    def set_last_dt_est(self, value: float) -> None:
-        self.solver._last_dt_est = value
-
-    def initialize(self) -> float:
-        # A restored solver carries its controller state — continue the
-        # ramp instead of re-initializing (bit-for-bit restart).
-        if self.controller.dt > 0 and self.last_dt_est > 0:
-            return self.controller.dt
-        dt = self.solver.initialize_dt()
-        self.set_last_dt_est(dt / self.controller.cfl)
-        return dt
-
-    def step(self, dt: float) -> bool:
-        return self.solver.step(dt)
-
-    def energies(self):
-        return self.solver.energies()
-
-
 class ResilientDriver:
     """Fault-tolerant execution of a hydro solver.
 
     Parameters
     ----------
-    solver : `LagrangianHydroSolver` or `DistributedLagrangianSolver`.
+    solver : the `LagrangianHydroSolver` to march.
     injector : optional `FaultInjector`; also attached to the
-        distributed solver's communicator so collectives can fail.
+        distributed backend's communicator so collectives can fail.
     policy, watchdog : recovery policy and invariant monitor (defaults).
     checkpoint_every : accepted steps between rollback snapshots.
     checkpoint_dir : also write (and verify) disk checkpoints through
@@ -215,11 +181,6 @@ class ResilientDriver:
     tracer : optional enabled `repro.telemetry.Tracer` — the driver
         then owns the root "run" span and emits instant events for
         faults, rollbacks and checkpoints.
-
-    Direct construction is deprecated: prefer
-    `repro.api.run(problem, RunConfig(faults=..., checkpoint_every=...,
-    offload_device=...))`, which assembles the driver (and its
-    telemetry) from the unified config.
     """
 
     def __init__(
@@ -238,7 +199,6 @@ class ResilientDriver:
     ):
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        warn_deprecated("ResilientDriver", stacklevel=2)
         self.solver = solver
         self.injector = injector
         self.policy = policy or RecoveryPolicy()
@@ -253,14 +213,10 @@ class ResilientDriver:
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None
         self.timers = timers or PhaseTimers(tracer=self.tracer)
         self.last_disk_checkpoint: Path | None = None
-        # Unwrap the deprecated DistributedLagrangianSolver shim: the
-        # adapter always steps the one real solver. Rank-failure
-        # handling and collective fault injection route through the
-        # distributed backend when the solver carries one.
-        real = getattr(solver, "solver", solver)
-        self._adapter = _SerialAdapter(real)
-        backend = getattr(real, "backend", None)
-        self._dist = backend if getattr(backend, "name", "") == "distributed" else None
+        # Rank-failure handling and collective fault injection route
+        # through the distributed backend when the solver carries one.
+        backend = solver.backend
+        self._dist = backend if backend.name == "distributed" else None
         if (
             self._dist is not None
             and injector is not None
@@ -271,34 +227,33 @@ class ResilientDriver:
 
     # -- Checkpointing -----------------------------------------------------------
 
-    def _snapshot(self, ad, steps: int, n_energy: int, n_dt: int) -> _Snapshot:
+    def _snapshot(self, steps: int, n_energy: int, n_dt: int) -> _Snapshot:
+        s = self.solver
         return _Snapshot(
-            state=ad.state.copy(),
-            controller_dt=ad.controller.dt,
-            last_dt_est=ad.last_dt_est,
+            state=s.state.copy(),
+            controller_dt=s.controller.dt,
+            last_dt_est=s._last_dt_est,
             steps=steps,
             n_energy=n_energy,
             n_dt=n_dt,
         )
 
-    def _restore(self, ad, snap: _Snapshot) -> None:
-        ad.set_state(snap.state.copy())
-        ad.controller.dt = snap.controller_dt
-        ad.set_last_dt_est(snap.last_dt_est)
+    def _restore(self, snap: _Snapshot) -> None:
+        s = self.solver
+        s.state = snap.state.copy()
+        s.controller.dt = snap.controller_dt
+        s._last_dt_est = snap.last_dt_est
 
     def _state_nbytes(self, state: HydroState) -> int:
         return state.v.nbytes + state.e.nbytes + state.x.nbytes + 64
 
-    def _write_disk_checkpoint(self, ad, steps: int) -> None:
+    def _write_disk_checkpoint(self, steps: int) -> None:
         from repro.io.checkpoint import load_checkpoint, save_checkpoint
 
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        # Sync the inner solver's controller so the checkpoint restores
-        # the live dt ramp (the distributed adapter owns its own).
-        ad.inner.controller.dt = ad.controller.dt
-        ad.inner._last_dt_est = ad.last_dt_est
         path = save_checkpoint(
-            self.checkpoint_dir / f"ckpt_step{steps:06d}.npz", ad.inner, state=ad.state
+            self.checkpoint_dir / f"ckpt_step{steps:06d}.npz", self.solver,
+            state=self.solver.state,
         )
         load_checkpoint(path)  # verify the write (checksum + integrity)
         self.last_disk_checkpoint = path
@@ -359,63 +314,60 @@ class ResilientDriver:
         return self._run_impl(t_final, max_steps)
 
     def _run_impl(self, t_final: float | None, max_steps: int | None) -> ResilientRunResult:
-        ad = self._adapter
+        s = self.solver
         report = RecoveryReport()
-        problem = ad.inner.problem
-        options = ad.inner.options
-        t_final = t_final if t_final is not None else problem.default_t_final
-        max_steps = max_steps if max_steps is not None else options.max_steps
+        t_final = t_final if t_final is not None else s.problem.default_t_final
+        max_steps = max_steps if max_steps is not None else s.config.resolved_max_steps
 
         with self.timers.measure("initialize"):
             while True:
                 try:
-                    dt0 = ad.initialize()
+                    dt0 = s.initialize_dt()
                     break
                 except RankFailure as fault:
                     self._handle_rank_failure(fault, report, step=0)
-            energy_history = [ad.energies()]
+            energy_history = [s.energies()]
         self.watchdog.arm(energy_history[0].total, dt0)
         dt_history: list[float] = []
         steps = 0
         high_water = 0
-        snapshot = self._snapshot(ad, steps, len(energy_history), 0)
+        snapshot = self._snapshot(steps, len(energy_history), 0)
 
-        while ad.state.t < t_final - 1e-15 and steps < max_steps:
-            dt = ad.controller.propose(ad.last_dt_est, ad.state.t, t_final)
+        while s.state.t < t_final - 1e-15 and steps < max_steps:
+            dt = s.controller.propose(s._last_dt_est, s.state.t, t_final)
             if dt <= 0:
                 break
             with self.timers.measure("step"):
                 accepted = False
                 while not accepted:
                     try:
-                        accepted = ad.step(dt)
+                        accepted = s.step(dt)
                     except RankFailure as fault:
                         self._handle_rank_failure(fault, report, step=steps + 1)
                         continue
                     if not accepted:
-                        dt = ad.controller.reject()
+                        dt = s.controller.reject()
             steps += 1
             # A hybrid-backend solver tunes in-band under this loop too
             # (the driver owns the march, so it owns the step hook).
-            scheduler = getattr(ad.inner, "scheduler", None)
-            if scheduler is not None:
-                scheduler.on_step()
+            if s.scheduler is not None:
+                s.scheduler.on_step()
 
             if self.injector is not None:
-                desc = self.injector.corrupt_state(ad.state, steps)
+                desc = self.injector.corrupt_state(s.state, steps)
                 if desc is not None:
                     self._instant("fault", kind="state", step=steps, detail=desc)
                     report.faults.append(FaultEvent(steps, "state", "corrupted", desc))
 
-            energy = ad.energies()
+            energy = s.energies()
             try:
                 with self.timers.measure("watchdog"):
-                    self.watchdog.inspect(ad.state, energy.total, dt, step=steps)
+                    self.watchdog.inspect(s.state, energy.total, dt, step=steps)
             except InvariantViolation as viol:
                 self.policy.for_violation(report.rollbacks)  # raises when exhausted
                 with self.timers.measure("rollback"):
                     replayed = steps - snapshot.steps
-                    self._restore(ad, snapshot)
+                    self._restore(snapshot)
                     steps = snapshot.steps
                     del energy_history[snapshot.n_energy:]
                     del dt_history[snapshot.n_dt:]
@@ -454,9 +406,8 @@ class ResilientDriver:
                     # arithmetic, no device pricing) and its scheduler
                     # stops — the split it was converging no longer
                     # describes the hardware carrying the run.
-                    backend = getattr(ad.inner, "backend", None)
-                    if backend is not None and backend.name == "hybrid":
-                        ad.inner.swap_backend("cpu-fused")
+                    if s.backend.name == "hybrid":
+                        s.swap_backend("cpu-fused")
                         self._instant("backend_swap", step=steps,
                                       source="hybrid", target="cpu-fused")
                         report.faults.append(
@@ -495,31 +446,30 @@ class ResilientDriver:
 
             if steps % self.checkpoint_every == 0:
                 with self.timers.measure("checkpoint"):
-                    snapshot = self._snapshot(ad, steps, len(energy_history), len(dt_history))
+                    snapshot = self._snapshot(steps, len(energy_history), len(dt_history))
                     self._instant("checkpoint", step=steps,
                                   to_disk=self.checkpoint_dir is not None)
                     report.checkpoints_written += 1
                     report.checkpoint_time_s += self.checkpoint_cost.write_time_s(
-                        self._state_nbytes(ad.state)
+                        self._state_nbytes(s.state)
                     )
                     if self.checkpoint_dir is not None:
-                        self._write_disk_checkpoint(ad, steps)
+                        self._write_disk_checkpoint(steps)
 
-        scheduler = getattr(ad.inner, "scheduler", None)
-        if scheduler is not None:
+        if s.scheduler is not None:
             # Close any open tuning_period span before the run span does.
-            scheduler.finalize()
-        if energy_history[-1].t != ad.state.t:
-            energy_history.append(ad.energies())
+            s.scheduler.finalize()
+        if energy_history[-1].t != s.state.t:
+            energy_history.append(s.energies())
         report.steps_completed = steps
         report.degraded_final = bool(self.offload and self.offload.degraded)
         report.phase_timings = self.timers.to_dict()
         result = RunResult(
-            state=ad.state,
+            state=s.state,
             steps=steps,
             energy_history=energy_history,
             dt_history=dt_history,
-            workload=ad.inner.workload,
-            reached_t_final=ad.state.t >= t_final - 1e-12,
+            workload=s.workload,
+            reached_t_final=s.state.t >= t_final - 1e-12,
         )
         return ResilientRunResult(result=result, report=report)

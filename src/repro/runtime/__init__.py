@@ -9,9 +9,9 @@ paper's Figures 11, 14-16 and Table 7. The memory layer (`arena`) is the
 pool allocator behind every hot-path workspace.
 
 Submodules are resolved lazily (PEP 562): `repro.runtime.arena` sits
-below `repro.hydro.workspace` in the import graph, while `distributed`/
-`parallel`/`hybrid` sit above `repro.hydro` — eager imports here would
-close an import cycle through `corner_force`.
+below `repro.hydro.workspace` in the import graph, while `parallel`/
+`hybrid` sit above `repro.hydro` — eager imports here would close an
+import cycle through `corner_force`.
 """
 
 _EXPORTS = {
@@ -26,7 +26,6 @@ _EXPORTS = {
     "ExecutionReport": "repro.runtime.hybrid",
     "StepBreakdown": "repro.runtime.hybrid",
     "PhaseTimers": "repro.runtime.instrumentation",
-    "DistributedLagrangianSolver": "repro.runtime.distributed",
     "ZoneParallelExecutor": "repro.runtime.parallel",
     "PersistentWorkerPool": "repro.runtime.workers",
     "WorkerError": "repro.runtime.workers",

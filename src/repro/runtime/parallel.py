@@ -24,8 +24,9 @@ them). `compute_chunked` runs the identical chunked loop serially so
 tests can assert bitwise equality directly. The global dt is the min
 over chunk minima (min is exactly associative).
 
-The executor is wired into the solver via `SolverOptions(workers=N)`
-(or `executor="parallel"`) and the CLI's `repro run --workers N`.
+The `cpu-parallel` backend wires the executor into the solver, chosen
+by `RunConfig(backend="cpu-parallel", workers=N)` (or just
+`RunConfig(workers=N)`) and the CLI's `repro run --workers N`.
 """
 
 from __future__ import annotations

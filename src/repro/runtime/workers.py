@@ -18,6 +18,13 @@ per worker and *zero Python-level allocation*:
   with a single status byte (`wid` on success, `0x80 | wid` on
   failure). On failure the worker leaves a UTF-8 traceback summary in
   its slot of a shared error segment, which the parent raises from.
+- **Bounded on worker death.** The parent holds the done pipe's write
+  end, so a dead worker never closes it. `wait()` therefore polls the
+  pipe with a timeout and, on every timeout, reaps the workers that
+  have not acked with `waitpid(WNOHANG)`: a dead one raises
+  `WorkerError` naming its wid, pid and signal, and so does every
+  later `dispatch()`. A worker that hangs alive is not detected, and a
+  dead one is not respawned.
 - **Explicit lifecycle.** `start()` forks, `shutdown()` drains and
   reaps. Pools are reusable across many thousands of dispatches — the
   service warm pool keeps them alive across jobs — and `stats()`
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import select
 import signal
 import struct
 from multiprocessing import shared_memory
@@ -54,9 +62,13 @@ _ERRBUF = 4096
 #: Ack byte flag marking a failed evaluation.
 _ACK_FAIL = 0x80
 
+#: How long `wait()` blocks on the done pipe between liveness checks.
+_LIVENESS_MS = 100
+
 
 class WorkerError(RuntimeError):
-    """A worker's evaluation raised; carries the per-worker reports."""
+    """A worker's evaluation raised, or a worker died; carries the
+    per-worker reports."""
 
 
 class PersistentWorkerPool:
@@ -83,6 +95,10 @@ class PersistentWorkerPool:
         self._cmd_w: list[int] = []  # parent->worker command write ends
         self._done_r: int = -1  # parent read end of the shared done pipe
         self._done_w: int = -1
+        self._done_poll: select.poll | None = None
+        #: wid -> how it died, for workers found dead; the pool is
+        #: unusable once this is non-empty.
+        self._dead: dict[int, str] = {}
         self._err_seg: shared_memory.SharedMemory | None = None
         self._started = False
         self._closed = False
@@ -108,6 +124,8 @@ class PersistentWorkerPool:
         )
         done_r, done_w = os.pipe()
         self._done_r, self._done_w = done_r, done_w
+        self._done_poll = select.poll()
+        self._done_poll.register(done_r, select.POLLIN)
         for wid in range(self.nworkers):
             cmd_r, cmd_w = os.pipe()
             pid = os.fork()
@@ -159,14 +177,25 @@ class PersistentWorkerPool:
     # -- dispatch -----------------------------------------------------------
 
     def dispatch(self, slot: int, t: float) -> None:
-        """Wake every worker with (slot, t). Allocates nothing."""
+        """Wake every worker with (slot, t). Allocates nothing.
+
+        Raises `WorkerError` if a worker is dead.
+        """
         if not self._started or self._closed:
             raise RuntimeError(f"{self.name}: pool is not running")
+        if self._dead:
+            self._raise_dead()
         t0 = perf_counter()
         for wid in range(self.nworkers):
             buf = self._cmd_buf[wid]
             _COMMAND.pack_into(buf, 0, _OP_DISPATCH, slot, t)
-            os.write(self._cmd_w[wid], buf)
+            try:
+                os.write(self._cmd_w[wid], buf)
+            except BrokenPipeError:
+                self._reap(wid, block=True)
+                break
+        if self._dead:
+            self._raise_dead()
         self.dispatches += 1
         self._dispatch_s += perf_counter() - t0
 
@@ -174,12 +203,23 @@ class PersistentWorkerPool:
         """Block until every worker acked the last dispatch.
 
         Raises `WorkerError` with each failed worker's report if any
-        ack carries the failure flag.
+        ack carries the failure flag, and with the wid, pid and signal
+        of any worker that died before acking.
         """
+        if self._dead:
+            self._raise_dead()
         t0 = perf_counter()
         view = memoryview(self._ack_buf)
         got = 0
         while got < self.nworkers:
+            if not self._done_poll.poll(_LIVENESS_MS):
+                acked = self._ack_buf[:got]
+                for wid in range(self.nworkers):
+                    if wid not in acked and wid | _ACK_FAIL not in acked:
+                        self._reap(wid)
+                if self._dead:
+                    self._raise_dead()
+                continue
             n = os.readv(self._done_r, [view[got:]])
             if n == 0:
                 raise WorkerError(f"{self.name}: done pipe closed unexpectedly")
@@ -191,6 +231,29 @@ class PersistentWorkerPool:
                 f"{self.name}: worker failure: "
                 + "; ".join(f"worker {w}: {self._read_error(w)}" for w in sorted(failed))
             )
+
+    def _reap(self, wid: int, block: bool = False) -> None:
+        """Record worker `wid` as dead if it has exited (`block`: wait
+        for the exit, for a worker already known to be gone)."""
+        if wid in self._dead:
+            return
+        pid = self._pids[wid]
+        try:
+            done, status = os.waitpid(pid, 0 if block else os.WNOHANG)
+        except ChildProcessError:  # its status was collected elsewhere
+            self._dead[wid] = f"worker {wid} (pid {pid}) exited"
+            return
+        if done == 0:
+            return
+        if os.WIFSIGNALED(status):
+            how = f"killed by signal {signal.Signals(os.WTERMSIG(status)).name}"
+        else:
+            how = f"exited with status {os.waitstatus_to_exitcode(status)}"
+        self._dead[wid] = f"worker {wid} (pid {pid}) {how}"
+
+    def _raise_dead(self) -> None:
+        raise WorkerError(f"{self.name}: " + "; ".join(
+            self._dead[w] for w in sorted(self._dead)))
 
     def _read_error(self, wid: int) -> str:
         view = memoryview(self._err_seg.buf)[wid * _ERRBUF:(wid + 1) * _ERRBUF]
@@ -211,7 +274,9 @@ class PersistentWorkerPool:
                     os.write(fd, self._cmd_buf[wid])
                 except OSError:
                     pass
-            for pid in self._pids:
+            for wid, pid in enumerate(self._pids):
+                if wid in self._dead:  # already reaped
+                    continue
                 try:
                     _, status = os.waitpid(pid, 0)
                 except ChildProcessError:
@@ -228,6 +293,7 @@ class PersistentWorkerPool:
                     pass
             self._cmd_w.clear()
             self._pids.clear()
+            self._done_poll = None
         if self._err_seg is not None:
             try:
                 self._err_seg.close()

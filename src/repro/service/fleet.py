@@ -119,24 +119,18 @@ class FleetConfig:
             raise ValueError("warm_pool_size must be non-negative")
 
 
-def _warm_key(spec: JobSpec) -> tuple:
+def _warm_key(problem: str, cfg: RunConfig) -> tuple:
     """Solver-shape key: jobs sharing it can share a pooled solver.
 
-    The (mesh, workers) part of the key is what keeps a persistent
-    worker pool alive across jobs — a pooled cpu-parallel solver carries
-    its forked `ZoneParallelExecutor`, so the next job with the same
-    fingerprint dispatches into already-warm workers. The rank fields do
-    the same for distributed solvers (partition + communicator + plan).
+    A pooled solver runs with the config it was built from, so the key
+    is the whole config except `t_final`, which `run` takes per job,
+    with the backend resolved so `workers=2` and
+    `backend="cpu-parallel", workers=2` share. A pooled cpu-parallel
+    solver carries its forked `ZoneParallelExecutor`, so the next job
+    with the same key dispatches into already-warm workers; a
+    distributed one keeps its partition, communicator and plan.
     """
-    cfg = spec.config
-    return (
-        spec.problem, cfg.dim, cfg.order, cfg.zones, cfg.integrator,
-        cfg.quad_points_1d, cfg.cfl, cfg.pcg_tol, cfg.pcg_maxiter,
-        cfg.resolved_backend, cfg.workers, cfg.hybrid_device,
-        cfg.tuning_cache, cfg.tune_period_steps, cfg.energy_every,
-        cfg.record_dt_history,
-        cfg.ranks, cfg.overlap, cfg.rank_step, cfg.rank_schedule,
-    )
+    return (problem, cfg.replace(t_final=None, backend=cfg.resolved_backend))
 
 
 class _WarmPool:
@@ -647,7 +641,7 @@ class SimulationFleet:
         from repro.api import make_problem
         from repro.hydro.solver import LagrangianHydroSolver
 
-        key = _warm_key(replace(spec, config=cfg))
+        key = _warm_key(spec.problem, cfg)
         solver = self._warm.acquire(key)
         warm = solver is not None
         if warm:

@@ -127,9 +127,16 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
+        """Inverse of `to_dict`. Records journaled before `RunConfig`
+        lost its `engine` field still load: the key is dropped, and
+        `engine="legacy"` becomes the backend it resolved to."""
+        config = dict(d["config"])
+        if (config.pop("engine", None) == "legacy" and config.get("backend") is None
+                and not config.get("workers")):
+            config["backend"] = "cpu-serial"
         return cls(
             problem=d["problem"],
-            config=RunConfig(**d["config"]),
+            config=RunConfig(**config),
             priority=int(d.get("priority", 0)),
             deadline_s=d.get("deadline_s"),
             max_attempts=int(d.get("max_attempts", 3)),

@@ -3,8 +3,8 @@
 Covers the `repro.backends` registry (four policies behind one
 `RunConfig.backend` string), the physics contract between them
 (cpu-fused / cpu-parallel / hybrid bitwise identical on tier-1 meshes,
-cpu-serial an independent reference within a few ULP), the deprecated
-`workers=` / `engine=` spellings, the `repro.sched.OnlineScheduler`
+cpu-serial an independent reference within a few ULP), `workers=`
+resolving to cpu-parallel, the `repro.sched.OnlineScheduler`
 (convergence within the paper's 12-14 sampling periods, cache
 persistence, warm start skipping the campaign), `TuningCache`
 corruption recovery, and the resilient driver's hybrid -> cpu-fused
@@ -32,7 +32,6 @@ from repro.backends import (
 )
 from repro.cpu import get_cpu
 from repro.gpu import get_gpu
-from repro.hydro.solver import SolverOptions
 from repro.kernels import FEConfig
 from repro.resilience import (
     FaultInjector,
@@ -65,7 +64,7 @@ def state_hash(state) -> str:
 def run_backend(backend: str, zones=4, steps=2, **cfg_kw):
     """Two-step Sedov under one backend; returns (result, solver)."""
     solver = LagrangianHydroSolver(
-        sedov(zones), options=RunConfig(backend=backend, **cfg_kw)
+        sedov(zones), RunConfig(backend=backend, **cfg_kw)
     )
     try:
         return solver.run(t_final=FAR, max_steps=steps), solver
@@ -161,31 +160,21 @@ class TestBackendPhysics:
 
 
 # ---------------------------------------------------------------------------
-# Deprecated spellings route into the backend selector
+# `workers` and `backend` resolve into one backend name
 
 
 class TestDeprecatedKnobs:
     def test_smoke_legacy_knobs_resolve_to_backends(self):
         assert RunConfig().resolved_backend == "cpu-fused"
         assert RunConfig(workers=2).resolved_backend == "cpu-parallel"
-        assert RunConfig(engine="legacy").resolved_backend == "cpu-serial"
+        assert RunConfig(backend="cpu-serial").resolved_backend == "cpu-serial"
         assert RunConfig(backend="hybrid").resolved_backend == "hybrid"
 
     def test_conflicting_knobs_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             RunConfig(workers=2, backend="cpu-fused")
-        with pytest.raises(ValueError, match="legacy"):
-            RunConfig(engine="legacy", backend="hybrid")
         with pytest.raises(ValueError, match="backend"):
             RunConfig(backend="openmp")
-
-    def test_solver_options_warns_and_routes(self):
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            opts = SolverOptions(workers=2)
-        assert opts.config.resolved_backend == "cpu-parallel"
-        with pytest.warns(DeprecationWarning):
-            opts = SolverOptions(fused=False)
-        assert opts.config.resolved_backend == "cpu-serial"
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +419,7 @@ class TestBackendSwapOnFault:
             injector=injector,
         )
         solver = LagrangianHydroSolver(
-            sedov(), options=RunConfig(backend="hybrid")
+            sedov(), RunConfig(backend="hybrid")
         )
         driver = ResilientDriver(
             solver, injector=injector, checkpoint_every=4, offload=offload
@@ -446,7 +435,7 @@ class TestBackendSwapOnFault:
 
     def test_fault_free_hybrid_run_keeps_backend(self):
         solver = LagrangianHydroSolver(
-            sedov(), options=RunConfig(backend="hybrid")
+            sedov(), RunConfig(backend="hybrid")
         )
         driver = ResilientDriver(solver, checkpoint_every=4)
         driver.run(t_final=FAR, max_steps=6)

@@ -1,11 +1,9 @@
-"""The consolidated deprecation layer (`repro._compat`).
+"""One run configuration: the removed spellings and the direct paths.
 
-PR 3/4/5 each left a transitional shim behind (SolverOptions, direct
-ResilientDriver construction, the CLI --engine flags,
-DistributedLagrangianSolver). They now live behind one registry: each
-warns exactly once per use with a message naming its replacement, and
-each still produces bit-identical physics to the `repro.api.run` path
-it points at.
+`RunConfig` is the solver's only configuration type. The second
+spellings that converted to and from it are deleted, so the old ones
+fail loudly; the direct-construction paths that remain produce the same
+bits as `repro.api.run`.
 """
 
 import warnings
@@ -13,13 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro._compat import (
-    DEPRECATIONS,
-    deprecations_suppressed,
-    internal_construction,
-    warn_deprecated,
-)
 from repro.api import RunConfig, run
+from repro.hydro.solver import LagrangianHydroSolver
 from repro.problems import SedovProblem
 
 
@@ -27,119 +20,54 @@ def sedov(zones=3):
     return SedovProblem(dim=2, order=2, zones_per_dim=zones)
 
 
-class TestRegistry:
-    def test_every_shim_is_registered(self):
-        assert set(DEPRECATIONS) == {
-            "SolverOptions",
-            "ResilientDriver",
-            "DistributedLagrangianSolver",
-            "--engine/--legacy-engine",
-        }
-
-    def test_every_message_names_the_replacement(self):
-        for name, replacement in DEPRECATIONS.items():
-            assert "repro.api" in replacement or "--backend" in replacement, name
-
-    def test_warn_deprecated_emits_canonical_text(self):
-        with pytest.warns(DeprecationWarning,
-                          match="SolverOptions is deprecated; use "):
-            warn_deprecated("SolverOptions", stacklevel=1)
-
-    def test_unknown_name_is_a_hard_error(self):
-        with pytest.raises(KeyError):
-            warn_deprecated("NotAShim", stacklevel=1)
-
-    def test_suppression_context(self):
-        assert not deprecations_suppressed()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with internal_construction():
-                assert deprecations_suppressed()
-                warn_deprecated("SolverOptions", stacklevel=1)
-                warn_deprecated("ResilientDriver", stacklevel=1)
-        assert not deprecations_suppressed()
-
-
-class TestShimWarnings:
-    def test_solver_options_warns(self):
-        from repro.hydro.solver import SolverOptions
-
-        with pytest.warns(DeprecationWarning,
-                          match=r"SolverOptions is deprecated; use "
-                                r"repro\.api\.RunConfig"):
-            SolverOptions()
-
-    def test_resilient_driver_warns(self):
-        from repro.hydro.solver import LagrangianHydroSolver
-        from repro.resilience import ResilientDriver
-
-        solver = LagrangianHydroSolver(sedov(), RunConfig())
-        with pytest.warns(DeprecationWarning,
-                          match=r"ResilientDriver is deprecated; use "
-                                r"repro\.api\.run"):
-            ResilientDriver(solver)
-
-    def test_distributed_solver_warns(self):
-        from repro.runtime.distributed import DistributedLagrangianSolver
-
-        with pytest.warns(DeprecationWarning,
-                          match=r"DistributedLagrangianSolver is deprecated; "
-                                r"use repro\.api\.run"):
-            DistributedLagrangianSolver(sedov(), nranks=2)
-
-    def test_cli_engine_flag_warns(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.warns(DeprecationWarning,
-                          match=r"--engine/--legacy-engine is deprecated; "
-                                r"use --backend"):
-            main(["run", "sedov", "--zones", "3",
-                  "--t-final", "0.005", "--engine", "fused"])
-
-
 class TestShimParity:
-    """Each shim path still produces the same bits as repro.api.run."""
+    """Each direct path produces the same bits as repro.api.run."""
 
     def _assert_same_state(self, a, b):
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.e, b.e)
         assert np.array_equal(a.x, b.x)
 
-    def test_solver_options_path(self):
-        from repro.hydro.solver import LagrangianHydroSolver, SolverOptions
-
-        with pytest.warns(DeprecationWarning, match="SolverOptions"):
-            opts = SolverOptions()
-        shim = LagrangianHydroSolver(sedov(), opts).run(t_final=0.02)
-        facade = run("sedov", RunConfig(zones=3, t_final=0.02))
-        assert shim.steps == facade.steps
-        self._assert_same_state(shim.state, facade.state)
-
     def test_resilient_driver_path(self, tmp_path):
-        from repro.hydro.solver import LagrangianHydroSolver
         from repro.resilience import ResilientDriver
 
         solver = LagrangianHydroSolver(sedov(), RunConfig())
-        with pytest.warns(DeprecationWarning, match="ResilientDriver"):
-            driver = ResilientDriver(solver, checkpoint_every=5)
-        shim = driver.run(t_final=0.02)
+        driver = ResilientDriver(solver, checkpoint_every=5)
+        direct = driver.run(t_final=0.02)
         facade = run("sedov", RunConfig(zones=3, t_final=0.02,
                                         checkpoint_every=5))
-        assert shim.result.steps == facade.steps
-        self._assert_same_state(shim.result.state, facade.state)
+        assert direct.result.steps == facade.steps
+        self._assert_same_state(direct.result.state, facade.state)
 
     def test_distributed_solver_path(self):
-        from repro.runtime.distributed import DistributedLagrangianSolver
-
-        with pytest.warns(DeprecationWarning,
-                          match="DistributedLagrangianSolver"):
-            shim_solver = DistributedLagrangianSolver(sedov(), nranks=2)
-        shim = shim_solver.run(t_final=0.02)
+        solver = LagrangianHydroSolver(sedov(), RunConfig(ranks=2))
+        direct = solver.run(t_final=0.02)
         facade = run("sedov", RunConfig(zones=3, t_final=0.02, ranks=2))
-        assert shim.steps == facade.steps
-        self._assert_same_state(shim.state, facade.state)
+        assert direct.steps == facade.steps
+        self._assert_same_state(direct.state, facade.state)
 
     def test_facade_path_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run("sedov", RunConfig(zones=3, t_final=0.01, ranks=2))
+
+
+class TestRemovedSpellings:
+    def test_engine_field_is_gone(self):
+        with pytest.raises(TypeError):
+            RunConfig(engine="fused")
+
+    def test_solver_takes_only_a_run_config(self):
+        with pytest.raises(TypeError, match="RunConfig"):
+            LagrangianHydroSolver(sedov(), {"cfl": 0.3})
+
+    def test_cli_engine_flag_rejected(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "sedov", "--zones", "3", "--t-final", "0.005",
+                  "--engine", "fused"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert "unrecognized arguments" in err

@@ -10,8 +10,6 @@ The `test_smoke_*` subset (`pytest -k smoke`) is the fast
 composition-matrix check referenced from ROADMAP.md.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,7 @@ from repro import (
 from repro.api import RunConfig, run
 from repro.backends import DistributedBackend
 from repro.backends.distributed import DistributedMomentumSolver
-from repro.runtime.distributed import DistributedLagrangianSolver
+from repro.errors import ConfigError
 from repro.runtime.mpi_sim import CommCostModel, SimulatedComm
 
 
@@ -93,6 +91,9 @@ class TestCompositionMatrix:
         """The old workers-xor-ranks restriction is gone."""
         cfg = RunConfig(workers=2, ranks=2, zones=4, max_steps=3)
         assert cfg.resolved_backend == "cpu-parallel"
+        assert cfg.resolved_execution == {
+            "ranks": 2, "backend": "cpu-parallel", "workers": 2,
+        }
         report = run("sod", cfg)
         assert report.steps == 3
 
@@ -432,34 +433,15 @@ class TestElasticRanks:
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="rank_schedule requires ranks"):
             RunConfig(rank_schedule="3:8")
-        for bad in ("0:4", "3:0", "3:8,3:5", "nonsense"):
+        for bad in ("0:4", "3:0", "3:8,3:5", "nonsense", "oops"):
             with pytest.raises(ValueError):
                 DistributedBackend(4, rank_schedule=bad)
+            # Rejected when the config is built, typed, so the fleet
+            # never admits or journals such a job.
+            with pytest.raises(ConfigError, match="rank_schedule"):
+                RunConfig(ranks=4, rank_schedule=bad)
 
     def test_resize_validation(self):
         solver = make_solver(nranks=4, zones=4)
         with pytest.raises(ValueError):
             solver.backend.resize_ranks(0)
-
-
-class TestDeprecatedShim:
-    def test_shim_warns_and_shares_one_solver(self):
-        with pytest.warns(DeprecationWarning, match="DistributedLagrangianSolver"):
-            dist = DistributedLagrangianSolver(
-                SedovProblem(dim=2, order=2, zones_per_dim=4), nranks=2
-            )
-        # Satellite fix: no private second solver — assembly runs once.
-        assert dist.serial is dist.solver
-        assert dist.nranks == 2
-        assert dist.comm is dist.backend.comm
-
-    def test_shim_run_matches_composed_path(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            dist = DistributedLagrangianSolver(
-                SedovProblem(dim=2, order=2, zones_per_dim=4), nranks=2
-            )
-        res_shim = dist.run(t_final=0.05)
-        res_new = run("sedov", RunConfig(zones=4, ranks=2, t_final=0.05)).result
-        assert res_shim.steps == res_new.steps
-        assert np.array_equal(res_shim.state.v, res_new.state.v)

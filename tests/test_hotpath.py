@@ -21,13 +21,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.fem.geometry import GeometryEvaluator
 from repro.fem.mesh import cartesian_mesh_2d
 from repro.fem.quadrature import tensor_quadrature
 from repro.fem.spaces import H1Space, L2Space
 from repro.hydro.corner_force import ForceEngine
 from repro.hydro.eos import GammaLawEOS
-from repro.hydro.solver import LagrangianHydroSolver, SolverOptions
+from repro.hydro.solver import LagrangianHydroSolver
 from repro.hydro.state import HydroState
 from repro.hydro.workspace import Workspace
 from repro.problems import SodProblem
@@ -112,9 +113,9 @@ class TestEngineParity:
 
     def test_parallel_solver_run_matches_serial(self):
         problem = SodProblem()
-        with LagrangianHydroSolver(problem, SolverOptions(workers=2)) as par:
+        with LagrangianHydroSolver(problem, RunConfig(workers=2)) as par:
             rp = par.run(max_steps=4)
-        serial = LagrangianHydroSolver(problem, SolverOptions())
+        serial = LagrangianHydroSolver(problem, RunConfig())
         rs = serial.run(max_steps=4)
         assert rp.steps == rs.steps
         np.testing.assert_allclose(rp.state.v, rs.state.v, rtol=0, atol=1e-12)
@@ -150,7 +151,7 @@ class TestAllocationDiscipline:
 
     def test_solver_steps_no_persistent_allocations(self):
         solver = LagrangianHydroSolver(
-            SodProblem(), SolverOptions(energy_every=10**9, record_dt_history=False)
+            SodProblem(), RunConfig(energy_every=10**9, record_dt_history=False)
         )
         dt0 = solver.initialize_dt()
         solver._last_dt_est = dt0 / solver.controller.cfl
@@ -217,8 +218,8 @@ class TestSumfactAllocationDiscipline:
     def test_sumfact_solver_steps_no_persistent_allocations(self):
         solver = LagrangianHydroSolver(
             SodProblem(),
-            SolverOptions(backend="cpu-sumfact", energy_every=10**9,
-                          record_dt_history=False),
+            RunConfig(backend="cpu-sumfact", energy_every=10**9,
+                      record_dt_history=False),
         )
         dt0 = solver.initialize_dt()
         solver._last_dt_est = dt0 / solver.controller.cfl
@@ -280,7 +281,7 @@ class TestGeometryCacheGuards:
 
 class TestPhaseMetering:
     def test_wall_other_is_populated_and_sums(self):
-        solver = LagrangianHydroSolver(SodProblem(), SolverOptions())
+        solver = LagrangianHydroSolver(SodProblem(), RunConfig())
         solver.run(max_steps=3)
         w = solver.workload
         assert w.wall_force_s > 0

@@ -9,13 +9,13 @@ update, not of the spatial discretization.
 import numpy as np
 import pytest
 
-from repro import LagrangianHydroSolver, SedovProblem, SolverOptions
+from repro import LagrangianHydroSolver, RunConfig, SedovProblem
 from repro.hydro.integrator import make_integrator
 
 
 def run_with(integrator: str, cfl=0.25, t_final=0.05, zones=4):
     p = SedovProblem(dim=2, order=2, zones_per_dim=zones)
-    s = LagrangianHydroSolver(p, SolverOptions(integrator=integrator, cfl=cfl))
+    s = LagrangianHydroSolver(p, RunConfig(integrator=integrator, cfl=cfl))
     res = s.run(t_final=t_final)
     rel = abs(res.energy_change) / res.energy_history[0].total
     return s, res, rel
@@ -57,7 +57,7 @@ class TestFactory:
     def test_unknown_name(self):
         p = SedovProblem(dim=2, order=1, zones_per_dim=2)
         with pytest.raises(ValueError):
-            LagrangianHydroSolver(p, SolverOptions(integrator="leapfrog"))
+            LagrangianHydroSolver(p, RunConfig(integrator="leapfrog"))
 
     def test_rk4_costs_more_force_evals(self):
         _, res2, _ = run_with("rk2avg", t_final=0.02)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import LagrangianHydroSolver, SedovProblem, SolverOptions
+from repro import LagrangianHydroSolver, SedovProblem
 from repro.io import load_checkpoint, restore_solver, save_checkpoint, write_vtk
 
 

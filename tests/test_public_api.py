@@ -50,7 +50,7 @@ MODULES = [
     "repro.tuning.parameters", "repro.tuning.autotuner", "repro.tuning.balance",
     "repro.tuning.cache",
     "repro.runtime.mpi_sim", "repro.runtime.groups", "repro.runtime.hybrid",
-    "repro.runtime.energy", "repro.runtime.distributed",
+    "repro.runtime.energy", "repro.backends.distributed",
     "repro.cluster.machines", "repro.cluster.scaling",
     "repro.analysis.profiles", "repro.analysis.report", "repro.analysis.convergence",
     "repro.analysis.roofline", "repro.analysis.exascale", "repro.analysis.riemann",
@@ -97,7 +97,7 @@ def test_top_level_quickstart_surface():
     """The README quickstart names must exist at the top level."""
     import repro
 
-    for name in ("SedovProblem", "LagrangianHydroSolver", "SolverOptions",
+    for name in ("SedovProblem", "LagrangianHydroSolver",
                  "TriplePointProblem", "NohProblem", "SaltzmanProblem",
                  "SodProblem", "RunConfig", "__version__"):
         assert hasattr(repro, name)

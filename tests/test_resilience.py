@@ -38,7 +38,6 @@ from repro.resilience import (
     WatchdogLimits,
     parse_fault_specs,
 )
-from repro.runtime.distributed import DistributedLagrangianSolver
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.instrumentation import PhaseTimers
 from repro.runtime.mpi_sim import SimulatedComm
@@ -50,6 +49,10 @@ def sedov():
 
 def triple():
     return TriplePointProblem(order=2, nx=4, ny=2)
+
+
+def distributed(nranks):
+    return LagrangianHydroSolver(sedov(), RunConfig(ranks=nranks))
 
 
 # A horizon no tiny test run reaches: runs are bounded by max_steps.
@@ -422,10 +425,10 @@ class TestResilientDriver:
     def test_rank_failure_excludes_rank_and_continues(self):
         ref = LagrangianHydroSolver(sedov()).run(t_final=FAR, max_steps=6)
         injector = FaultInjector([FaultSpec("rank", 5, target=1)])
-        solver = DistributedLagrangianSolver(sedov(), nranks=3)
+        solver = distributed(3)
         driver = ResilientDriver(solver, injector=injector, checkpoint_every=4)
         res = driver.run(t_final=FAR, max_steps=6)
-        assert solver.nranks == 2
+        assert solver.backend.nranks == 2
         assert res.report.rank_exclusions == 1
         # Physics matches the serial reference to fp-reordering accuracy.
         assert np.allclose(res.state.v, ref.state.v, rtol=1e-8, atol=1e-10)
@@ -513,26 +516,26 @@ class TestResilientDriver:
 
 class TestExcludeRank:
     def test_exclusion_rebuilds_partition(self):
-        solver = DistributedLagrangianSolver(sedov(), nranks=3)
-        before = solver.comm.traffic.reductions
-        solver.exclude_rank(1)
-        assert solver.nranks == 2
-        assert set(np.unique(solver.zone_rank)) <= {0, 1}
-        assert len(solver.ranks) == 2
-        assert solver.comm.traffic.reductions == before  # accounting carried over
+        backend = distributed(3).backend
+        before = backend.comm.traffic.reductions
+        backend.exclude_rank(1)
+        assert backend.nranks == 2
+        assert set(np.unique(backend.zone_rank)) <= {0, 1}
+        assert len(backend.ranks) == 2
+        assert backend.comm.traffic.reductions == before  # accounting carried over
 
     def test_exclusion_validation(self):
-        solver = DistributedLagrangianSolver(sedov(), nranks=2)
+        backend = distributed(2).backend
         with pytest.raises(ValueError):
-            solver.exclude_rank(5)
-        solver.exclude_rank(0)
+            backend.exclude_rank(5)
+        backend.exclude_rank(0)
         with pytest.raises(ValueError):
-            solver.exclude_rank(0)
+            backend.exclude_rank(0)
 
     def test_physics_unchanged_after_exclusion(self):
-        ref = DistributedLagrangianSolver(sedov(), nranks=3).run(t_final=FAR, max_steps=4)
-        solver = DistributedLagrangianSolver(sedov(), nranks=3)
-        solver.exclude_rank(2)
+        ref = distributed(3).run(t_final=FAR, max_steps=4)
+        solver = distributed(3)
+        solver.backend.exclude_rank(2)
         res = solver.run(t_final=FAR, max_steps=4)
         assert np.allclose(res.state.v, ref.state.v, rtol=1e-10, atol=1e-12)
 

@@ -411,6 +411,56 @@ class TestFleetSmoke:
         ]
         f2.shutdown(wait=False)
 
+    def test_smoke_warm_pool_keeps_each_jobs_max_steps(self):
+        # A pooled solver runs with the config it was built from, so a
+        # job with another step budget must not reuse it.
+        fleet = inline_fleet(config=FleetConfig(workers=0,
+                                                reuse_results=False))
+        long_run = TINY.replace(t_final=1.0)
+        h3 = fleet.submit("sedov", long_run.replace(max_steps=3))
+        fleet.process()
+        h7 = fleet.submit("sedov", long_run.replace(max_steps=7))
+        fleet.process()
+        assert h3.result.steps == 3
+        assert h7.result.steps == 7
+        assert not h7.result.warm
+        fleet.shutdown(wait=False)
+
+    def test_smoke_warm_pool_keeps_each_jobs_tuning_objective(self):
+        fleet = inline_fleet(config=FleetConfig(workers=0,
+                                                reuse_results=False))
+        hybrid = TINY.replace(backend="hybrid")
+        for objective in ("time", "energy"):
+            h = fleet.submit("sedov", hybrid.replace(tuning_objective=objective))
+            fleet.process()
+            assert h.result.ok and not h.result.warm
+            assert fleet.rollup()["tuning"]["last"]["objective"] == objective
+        fleet.shutdown(wait=False)
+
+    def test_smoke_recovers_submit_records_that_carry_engine(self, tmp_path):
+        # Submit records journaled while RunConfig still had an `engine`
+        # field carry it in their config; they must recover, with the
+        # `engine="legacy"` mapped to the backend it resolved to.
+        journal = tmp_path / "journal.jsonl"
+        old = JobJournal(journal)
+        for job_id, engine, workers in (("fused", "fused", 0),
+                                        ("legacy", "legacy", 0),
+                                        ("legacy-workers", "legacy", 2)):
+            job = JobSpec("sedov", TINY.replace(workers=workers),
+                          job_id=job_id).to_dict()
+            job["config"]["engine"] = engine
+            old.append("submit", job=job)
+        fleet = inline_fleet(journal_path=journal)
+        recovered = {h.job_id: h.spec.config for h in fleet.recovered}
+        assert recovered == {
+            "fused": TINY,
+            "legacy": TINY.replace(backend="cpu-serial"),
+            "legacy-workers": TINY.replace(workers=2),
+        }
+        fleet.process()
+        assert all(h.result.ok for h in fleet.recovered)
+        fleet.shutdown(wait=False)
+
     def test_smoke_poll_and_handle_surface(self):
         fleet = inline_fleet()
         h = fleet.submit("sedov", TINY)

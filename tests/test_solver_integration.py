@@ -11,8 +11,8 @@ import pytest
 
 from repro import (
     LagrangianHydroSolver,
+    RunConfig,
     SedovProblem,
-    SolverOptions,
     TaylorGreenProblem,
     TriplePointProblem,
 )
@@ -155,29 +155,29 @@ class TestTaylorGreen:
         assert not p.viscosity().enabled
 
 
-class TestSolverOptions:
+class TestRunControl:
     def test_custom_quadrature(self):
         p = SedovProblem(dim=2, order=2, zones_per_dim=2)
-        s = LagrangianHydroSolver(p, SolverOptions(quad_points_1d=3))
+        s = LagrangianHydroSolver(p, RunConfig(quad_points_1d=3))
         assert s.quad.nqp == 9
 
     def test_max_steps_cap(self):
         p = SedovProblem(dim=2, order=1, zones_per_dim=4)
-        s = LagrangianHydroSolver(p, SolverOptions(max_steps=3))
+        s = LagrangianHydroSolver(p, RunConfig(max_steps=3))
         res = s.run(t_final=10.0)
         assert res.steps == 3
         assert not res.reached_t_final
 
     def test_looser_pcg_tol_degrades_conservation(self):
         p = SedovProblem(dim=2, order=2, zones_per_dim=3)
-        tight = LagrangianHydroSolver(p, SolverOptions(pcg_tol=1e-14)).run(t_final=0.03)
+        tight = LagrangianHydroSolver(p, RunConfig(pcg_tol=1e-14)).run(t_final=0.03)
         p2 = SedovProblem(dim=2, order=2, zones_per_dim=3)
-        loose = LagrangianHydroSolver(p2, SolverOptions(pcg_tol=1e-4)).run(t_final=0.03)
+        loose = LagrangianHydroSolver(p2, RunConfig(pcg_tol=1e-4)).run(t_final=0.03)
         assert abs(tight.energy_change) <= abs(loose.energy_change) + 1e-15
 
     def test_energy_every(self):
         p = SedovProblem(dim=2, order=1, zones_per_dim=3)
-        s = LagrangianHydroSolver(p, SolverOptions(energy_every=1000))
+        s = LagrangianHydroSolver(p, RunConfig(energy_every=1000))
         res = s.run(t_final=0.02)
         # Only initial + final recorded.
         assert len(res.energy_history) == 2

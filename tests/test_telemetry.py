@@ -3,8 +3,7 @@
 Covers: span tree structure on a deterministic fake clock, exact
 energy attribution against an independently computed power integral,
 Chrome-trace / JSONL schema validity, the telemetry-off no-op
-guarantee, facade parity (api.run == manual wiring, bit for bit) and
-the deprecation shims.
+guarantee, and facade parity (api.run == manual wiring, bit for bit).
 """
 
 import json
@@ -13,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.config import RunConfig, _internal_construction
+from repro.config import RunConfig
 from repro.telemetry import (
     NULL_SPAN,
     CounterSampler,
@@ -290,12 +289,11 @@ class TestFacade:
     def test_parity_with_manual_wiring(self):
         """api.run (telemetry off) is bit-identical to manual wiring."""
         from repro.api import run
-        from repro.hydro.solver import LagrangianHydroSolver, SolverOptions
+        from repro.hydro.solver import LagrangianHydroSolver
         from repro.problems import SedovProblem
 
         problem = SedovProblem(dim=2, order=2, zones_per_dim=3)
-        with _internal_construction():
-            manual = LagrangianHydroSolver(problem, SolverOptions()).run(t_final=0.02)
+        manual = LagrangianHydroSolver(problem, RunConfig()).run(t_final=0.02)
         report = run("sedov", RunConfig(zones=3, t_final=0.02))
         assert report.steps == manual.steps
         assert np.array_equal(report.state.v, manual.state.v)
@@ -366,34 +364,9 @@ class TestFacade:
 
 
 class TestDeprecationShims:
-    def test_solver_options_warns_and_routes_through_config(self):
-        from repro.hydro.solver import SolverOptions
-
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            opts = SolverOptions(cfl=0.4, fused=False, workers=0)
-        assert isinstance(opts.config, RunConfig)
-        assert opts.config.engine == "legacy"
-        assert opts.config.cfl == 0.4
-
-    def test_resilient_driver_warns(self):
-        from repro.hydro.solver import LagrangianHydroSolver
-        from repro.problems import SedovProblem
-        from repro.resilience import ResilientDriver
-
-        solver = LagrangianHydroSolver(
-            SedovProblem(dim=2, order=2, zones_per_dim=3), RunConfig()
-        )
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            ResilientDriver(solver)
-
     def test_facade_path_emits_no_deprecation(self):
         from repro.api import run
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run("sedov", RunConfig(zones=3, t_final=0.005, checkpoint_every=5))
-
-    def test_roundtrip_config_options(self):
-        opts = RunConfig(engine="legacy", workers=0, cfl=0.3).to_solver_options()
-        back = RunConfig.from_solver_options(opts)
-        assert back.engine == "legacy" and back.cfl == 0.3

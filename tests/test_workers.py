@@ -3,14 +3,17 @@
 The pool is the process substrate under the zone-parallel executor, so
 its contracts are tested bare — fork-once lifecycle, the fixed-packet
 dispatch/ack round trip, error propagation out of a child evaluation,
-amortization stats — plus the steady-state guarantee the executor
+a typed error instead of a hang when a worker dies, amortization
+stats — plus the steady-state guarantee the executor
 builds on it: warm dispatches allocate nothing and recycle the two
 shared force buffers forever.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
 import time
 import tracemalloc
 from multiprocessing import shared_memory
@@ -50,6 +53,32 @@ def random_state(h1: H1Space, l2, rng) -> HydroState:
 
 def _noop(wid: int, slot: int, t: float) -> None:
     pass
+
+
+def _die_on_negative_t(wid: int, slot: int, t: float) -> None:
+    if wid == 1 and t < 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Turn a hang in the block into a failing `TimeoutError`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 class TestSmokeLifecycle:
@@ -141,6 +170,32 @@ class TestSmokeDispatch:
         finally:
             seg.close()
             seg.unlink()
+
+    def test_smoke_worker_killed_mid_dispatch_raises_not_hangs(self):
+        t0 = time.monotonic()
+        with PersistentWorkerPool(2, _die_on_negative_t, name="t-dead") as pool:
+            pool.start()
+            pids = pool.pids
+            pool.dispatch(0, -1.0)  # worker 1 SIGKILLs itself
+            with _deadline(5.0), pytest.raises(WorkerError) as err:
+                pool.wait()
+            assert f"worker 1 (pid {pids[1]}) killed by signal SIGKILL" in str(err.value)
+            with pytest.raises(WorkerError, match="worker 1"):
+                pool.dispatch(0, 1.0)
+        assert time.monotonic() - t0 < 10.0
+        _assert_reaped(pids)
+
+    def test_smoke_dispatch_to_dead_worker_raises(self):
+        with PersistentWorkerPool(2, _noop, name="t-gone") as pool:
+            pool.start()
+            pids = pool.pids
+            os.kill(pids[0], signal.SIGKILL)
+            # Block until it is dead, leaving it for the pool to reap.
+            os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+            with _deadline(5.0), pytest.raises(WorkerError) as err:
+                pool.dispatch(0, 0.0)
+            assert f"worker 0 (pid {pids[0]}) killed by signal SIGKILL" in str(err.value)
+        _assert_reaped(pids)
 
     def test_smoke_roundtrip_latency_sane(self):
         # Not a perf gate (bench_dispatch_overhead owns that); this
