@@ -19,8 +19,9 @@ how the mass operator is applied:
   `CommLedger` exposed/hidden split moves.
 - time step: rank-local minima combined through `iallreduce_min`.
 - momentum PCG: the mass matrix applies as the group-sum of rank-local
-  operators (`DistributedMomentumSolver`), with the tolerances the
-  solver's `RunConfig` (`solver.config`) sets.
+  operators (`DistributedMomentumSolver`: each rank's zone subset of
+  the partial-assembly `MassAction`), with the tolerances the solver's
+  `RunConfig` (`solver.config`) sets.
 
 Resilience routes through the same object (`exclude_rank` rebuilds the
 partition; `swap_node` replaces one rank's node backend after a sticky
@@ -37,14 +38,14 @@ Two rank-stepping modes share this contract (`rank_step`):
   partials accumulated by `np.bincount` into a (nranks, n_iface, dim)
   stack and exchanged through one `iallreduce_sum_stacked`, per-rank dt
   minima by `np.minimum.at` + `iallreduce_min_batch`, and the momentum
-  matvec as one global CSR apply with per-rank interface partials from
-  the interface-zone mass blocks. Collective count, payload sizes and
-  therefore the priced `CommLedger` are identical to loop mode, and the
-  accumulation orders are arranged to match loop mode's — the force
-  phase is bit-compatible, the momentum operator agrees to FP
-  reordering. This is what lets the functional layer step O(100-1000)
-  simulated ranks in seconds and reproduce the paper's Figs 12-13
-  weak/strong curves measured, not just modeled.
+  matvec as one global `MassAction` apply with per-rank interface
+  partials from the interface-zone mass blocks. Collective count,
+  payload sizes and therefore the priced `CommLedger` are identical to
+  loop mode, and the accumulation orders are arranged to match loop
+  mode's — the force phase is bit-compatible, the momentum operator
+  agrees to FP reordering. This is what lets the functional layer step
+  O(100-1000) simulated ranks in seconds and reproduce the paper's
+  Figs 12-13 weak/strong curves measured, not just modeled.
 
 Elasticity: `resize_ranks` repartitions to a new rank count mid-run
 (deterministic RCB on the initial zone centroids, traffic/ledger carried
@@ -66,7 +67,6 @@ import numpy as np
 from repro.config import parse_rank_schedule
 from repro.hydro.corner_force import ForceResult
 from repro.hydro.momentum import MomentumSolver
-from repro.linalg.csr import CSRMatrix
 from repro.runtime.groups import (
     DofGroups,
     build_dof_groups,
@@ -84,17 +84,14 @@ __all__ = [
 
 @dataclass
 class _RankData:
-    """One simulated rank: its zones, mass share and node backend.
+    """One simulated rank: its zones and node backend.
 
-    In vectorized mode `mass_local` is None (the momentum operator works
-    from the global matrix plus the interface-zone blocks in `_VecPlan`)
-    and every rank shares the primary node backend.
+    In vectorized mode every rank shares the primary node backend.
     """
 
     zones: np.ndarray
     interface_zones: np.ndarray
     interior_zones: np.ndarray
-    mass_local: "CSRMatrix | None"
     node: object
 
 
@@ -109,7 +106,7 @@ class _VecPlan:
     on an interface dof to its flat (rank, iface-position) slot;
     `scat_src` selects the matching rows of the zone-local RHS. The
     interface-zone mass blocks power the momentum matvec's per-rank
-    interface partials without per-rank CSR matrices.
+    interface partials without per-rank operators.
     """
 
     ifz: np.ndarray        # interface zones, rank-major concat
@@ -127,7 +124,7 @@ class _VecPlan:
 class VectorizedDistributedMomentumSolver(MomentumSolver):
     """Momentum PCG for the vectorized rank-stepping mode.
 
-    The operator applies the *global* mass matrix once (exact at private
+    The operator applies the *global* mass action once (exact at private
     dofs, where a single rank owns every contribution), then replaces
     the interface-dof rows with a genuine sum of per-rank partials —
     each rank's contribution contracted from its interface-zone mass
@@ -136,18 +133,16 @@ class VectorizedDistributedMomentumSolver(MomentumSolver):
     `CommLedger` agrees between modes.
     """
 
-    def __init__(self, mass, bc, plan, nranks, comm, tol=1e-14, maxiter=None):
-        super().__init__(mass, bc, tol=tol, maxiter=maxiter)
+    def __init__(self, mass, action, bc, plan, nranks, comm, tol=1e-14, maxiter=None):
+        super().__init__(mass, action, bc, tol=tol, maxiter=maxiter)
         self.plan = plan
         self.nranks = nranks
         self.comm = comm
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.mass.matvec(x)
+        y = self.action.matvec(x)
         p = self.plan
-        contrib = np.einsum(
-            "zij,zj->zi", p.mass_blocks, x[p.ldof_ifz], optimize=True
-        ).ravel()
+        contrib = np.matmul(p.mass_blocks, x[p.ldof_ifz][:, :, None]).reshape(-1)
         stacked = np.bincount(
             p.scat_idx, weights=contrib[p.scat_src],
             minlength=self.nranks * p.n_iface,
@@ -160,21 +155,22 @@ class VectorizedDistributedMomentumSolver(MomentumSolver):
 
 
 class DistributedMomentumSolver(MomentumSolver):
-    """Momentum PCG whose operator is the sum of rank-local matrices.
+    """Momentum PCG whose operator is the sum of rank-local operators.
 
     Same preconditioner, tolerances and eliminated-BC handling as the
     serial `MomentumSolver`; only `matvec` changes — every application
-    is a group sum over the ranks' local mass shares, priced and
-    accounted by the communicator.
+    is a group sum over the ranks' shares of the mass action (its
+    restriction to each rank's zones), priced and accounted by the
+    communicator.
     """
 
-    def __init__(self, mass, bc, rank_masses, comm, tol=1e-14, maxiter=None):
-        super().__init__(mass, bc, tol=tol, maxiter=maxiter)
-        self.rank_masses = list(rank_masses)
+    def __init__(self, mass, action, bc, rank_zones, comm, tol=1e-14, maxiter=None):
+        super().__init__(mass, action, bc, tol=tol, maxiter=maxiter)
+        self.rank_actions = [action.restrict(zones) for zones in rank_zones]
         self.comm = comm
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.comm.allreduce_sum([m.matvec(x) for m in self.rank_masses])
+        return self.comm.allreduce_sum([a.matvec(x) for a in self.rank_actions])
 
 
 class _HybridFleet:
@@ -310,8 +306,8 @@ class DistributedBackend:
 
         Needs the solver's mass matrices, boundary conditions and
         integrator, so it runs as the solver's last construction step:
-        partition, communicator, dof groups, rank-local mass shares,
-        per-rank node backends, and the distributed momentum solver
+        partition, communicator, dof groups, per-rank node backends,
+        and the distributed momentum solver
         (installed on the solver *and* its integrator).
         """
         mesh = solver.problem.mesh
@@ -349,6 +345,7 @@ class DistributedBackend:
         if self._vectorized:
             self.momentum = VectorizedDistributedMomentumSolver(
                 solver.mass_v,
+                solver.mass_v_action,
                 solver.bc,
                 self._vec_plan,
                 self.nranks,
@@ -359,8 +356,9 @@ class DistributedBackend:
         else:
             self.momentum = DistributedMomentumSolver(
                 solver.mass_v,
+                solver.mass_v_action,
                 solver.bc,
-                [r.mass_local for r in self.ranks],
+                [r.zones for r in self.ranks],
                 self.comm,
                 tol=solver.config.pcg_tol,
                 maxiter=solver.config.pcg_maxiter,
@@ -375,20 +373,15 @@ class DistributedBackend:
         splits = split_interface_zones(solver.kinematic, self.zone_rank, self.groups)
         if self._vectorized:
             # One shared node evaluates every rank's zones in two
-            # rank-major batches; per-rank CSR shares are not built (the
-            # momentum operator works from the global matrix + the
-            # interface-zone blocks in the plan).
+            # rank-major batches.
             nodes = [self.node0] * self.nranks
-            masses = [None] * self.nranks
         else:
             nodes = self._make_nodes(solver)
-            masses = [self._rank_mass(solver, r) for r in range(self.nranks)]
         self.ranks = [
             _RankData(
                 zones=np.flatnonzero(self.zone_rank == r),
                 interface_zones=splits[r][0],
                 interior_zones=splits[r][1],
-                mass_local=masses[r],
                 node=nodes[r],
             )
             for r in range(self.nranks)
@@ -424,19 +417,12 @@ class DistributedBackend:
         mask = (posz >= 0).ravel()
         scat_src = np.flatnonzero(mask)
         scat_idx = (ifz_rank[:, None] * n_iface + posz).ravel()[scat_src]
-        # Interface-zone mass blocks (same assembly as `_rank_mass`,
-        # restricted to the zones whose contributions cross ranks).
-        basis = kin.element.tabulate(solver.quad.points)
-        if ifz.size:
-            geo = self.engine.geom_eval.evaluate_local(
-                kin.gather(kin.node_coords)[ifz]
-            )
-            rho = self.engine.mass_qp[ifz] / geo.det
-            w = solver.quad.weights[None, :] * rho * geo.det
-            blocks = np.einsum("zk,ki,kj->zij", w, basis, basis, optimize=True)
-        else:
-            ndz = kin.ndof_per_zone
-            blocks = np.zeros((0, ndz, ndz))
+        # Interface-zone mass blocks (the zones whose contributions
+        # cross ranks), from the weights the global mass action applies.
+        action = solver.mass_v_action
+        blocks = np.einsum(
+            "zk,ki,kj->zij", action.qp_weights[ifz], action.basis, action.basis
+        )
         return _VecPlan(
             ifz=ifz,
             inz=inz,
@@ -460,24 +446,6 @@ class DistributedBackend:
             nb.attach_node(solver, self.engine)
             nodes.append(nb)
         return nodes
-
-    def _rank_mass(self, solver, rank: int) -> CSRMatrix:
-        """Assemble the rank-local share of the kinematic mass matrix."""
-        zones = np.flatnonzero(self.zone_rank == rank)
-        basis = solver.kinematic.element.tabulate(solver.quad.points)
-        geo = self.engine.geom_eval.evaluate_local(
-            solver.kinematic.gather(solver.kinematic.node_coords)[zones]
-        )
-        rho = self.engine.mass_qp[zones] / geo.det  # = rho0 on the initial mesh
-        w = solver.quad.weights[None, :] * rho * geo.det
-        blocks = np.einsum("zk,ki,kj->zij", w, basis, basis, optimize=True)
-        ldof = solver.kinematic.ldof[zones]
-        ndz = solver.kinematic.ndof_per_zone
-        rows = np.repeat(ldof, ndz, axis=1).ravel()
-        cols = np.tile(ldof, (1, ndz)).ravel()
-        return CSRMatrix.from_coo(
-            rows, cols, blocks.ravel(), (solver.kinematic.ndof, solver.kinematic.ndof)
-        )
 
     # -- The distributed corner force ----------------------------------------
 
@@ -718,7 +686,7 @@ class DistributedBackend:
 
         The dead rank's zones are dealt round-robin to the survivors
         and every partition-derived structure (communicator, dof
-        groups, rank-local mass operators, node fleet) is rebuilt. The
+        groups, rank-local mass actions, node fleet) is rebuilt. The
         functional layer is partition-independent, so the physics
         continues unchanged up to floating-point reordering of the
         reductions. Traffic and ledger accounting carry over so a run's

@@ -13,6 +13,13 @@ scheme:
 Both use the initial density and initial geometry: in the Lagrangian
 frame strong mass conservation (rho |J| = rho0 |J0| pointwise) makes
 them constant in time.
+
+The momentum PCG applies M_V many times per step, so it does not read
+the CSR matrix: `MassAction` applies the same operator by partial
+assembly (the Laghos mass operator of Vargas et al.), keeping only the
+basis table and the quadrature-point weights. The assembled CSR stays
+for the Jacobi diagonal, the nonzero count the cost models price, and
+as the reference the action is tested against.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from repro.linalg.blockdiag import BlockDiagonalMatrix
 from repro.linalg.csr import CSRMatrix
 
 __all__ = [
+    "MassAction",
     "zone_mass_blocks",
     "zone_mass_blocks_sumfact",
     "assemble_kinematic_mass",
@@ -47,6 +55,60 @@ def zone_mass_blocks(
     """
     w = quad.weights[None, :] * rho_qp * detJ_qp  # (nz, nqp)
     return np.einsum("zk,ki,kj->zij", w, basis_at_qp, basis_at_qp, optimize=True)
+
+
+class MassAction:
+    """Matrix-free application of a scalar mass operator (partial assembly).
+
+    M x = sum_z P_z^T B^T (D_z * (B P_z x)), with B the (nqp, ndz) basis
+    table, D_z[k] = a_k rho_zk |J_zk| and P_z the gather through `ldof`:
+    a gather, two GEMMs over all zones at once and a `np.bincount`
+    scatter. It equals the assembled matrix's SpMV up to summation order.
+
+    basis_at_qp: (nqp, ndz); qp_weights: (nz, nqp); ldof: (nz, ndz)
+    local-to-global dof map into a space of `ndof` dofs.
+    """
+
+    def __init__(self, basis_at_qp: np.ndarray, qp_weights: np.ndarray,
+                 ldof: np.ndarray, ndof: int):
+        self.basis = np.ascontiguousarray(basis_at_qp, dtype=np.float64)
+        self._basis_t = np.ascontiguousarray(self.basis.T)
+        self.qp_weights = np.ascontiguousarray(qp_weights, dtype=np.float64)
+        self.ldof = np.ascontiguousarray(ldof, dtype=np.int64)
+        self.ndof = int(ndof)
+        if self.qp_weights.shape != (self.ldof.shape[0], self.basis.shape[0]):
+            raise ValueError("qp_weights must be (nzones, nqp)")
+        if self.ldof.shape[1:] != (self.basis.shape[1],):
+            raise ValueError("ldof must be (nzones, ndof_per_zone)")
+        self._flat = self.ldof.reshape(-1)
+
+    @classmethod
+    def for_space(cls, space, quad: QuadratureRule, rho_qp: np.ndarray,
+                  detJ_qp: np.ndarray) -> "MassAction":
+        """The action of the mass matrix `zone_mass_blocks` assembles on
+        `space` (same inputs: quadrature, rho and |J| at its points)."""
+        return cls(
+            space.element.tabulate(quad.points),
+            quad.weights[None, :] * rho_qp * detJ_qp,
+            space.ldof,
+            space.ndof,
+        )
+
+    def restrict(self, zones: np.ndarray) -> "MassAction":
+        """The action of the zone subset `zones` alone (one rank's share).
+
+        Its apply is the partial a rank contributes to the global sum,
+        still sized to the whole space.
+        """
+        zones = np.asarray(zones, dtype=np.int64)
+        return MassAction(self.basis, self.qp_weights[zones], self.ldof[zones], self.ndof)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """y = M @ x."""
+        q = x[self.ldof] @ self._basis_t  # (nz, nqp) values at the points
+        q *= self.qp_weights
+        return np.bincount(self._flat, weights=(q @ self.basis).reshape(-1),
+                           minlength=self.ndof)
 
 
 def zone_mass_blocks_sumfact(

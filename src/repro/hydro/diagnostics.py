@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.fem.assembly import MassAction
 from repro.hydro.state import HydroState
 from repro.linalg.blockdiag import BlockDiagonalMatrix
 from repro.linalg.csr import CSRMatrix
@@ -41,10 +42,14 @@ class EnergyBreakdown:
 
 def compute_energies(
     state: HydroState,
-    mass_v: CSRMatrix,
+    mass_v: "CSRMatrix | MassAction",
     mass_e: BlockDiagonalMatrix,
 ) -> EnergyBreakdown:
-    """KE = 1/2 v^T M_V v (per component), IE = 1^T M_E e."""
+    """KE = 1/2 v^T M_V v (per component), IE = 1^T M_E e.
+
+    `mass_v` is anything with the kinematic mass's `matvec`: the
+    assembled CSR or its partial-assembly action.
+    """
     ke = 0.0
     for d in range(state.dim):
         ke += 0.5 * float(state.v[:, d] @ mass_v.matvec(state.v[:, d]))

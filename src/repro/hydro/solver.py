@@ -29,7 +29,11 @@ from repro.config import RunConfig
 from repro.fem.geometry import GeometryEvaluator
 from repro.fem.quadrature import tensor_quadrature
 from repro.fem.spaces import H1Space, L2Space
-from repro.fem.assembly import assemble_kinematic_mass, assemble_thermodynamic_mass
+from repro.fem.assembly import (
+    MassAction,
+    assemble_kinematic_mass,
+    assemble_thermodynamic_mass,
+)
 from repro.hydro.corner_force import ForceEngine, SumfactForceEngine
 from repro.hydro.workspace import Workspace
 from repro.runtime.arena import Arena
@@ -158,9 +162,14 @@ class LagrangianHydroSolver:
 
         # Mass matrices (constant in time, assembled once). The sumfact
         # backend assembles its blocks through the factorized chain.
+        # The PCG and the energies apply M_V through its action; the
+        # CSR gives the Jacobi diagonal and the nnz the cost models price.
         use_sumfact = bool(getattr(self.backend, "sumfact", False))
         self.mass_v = assemble_kinematic_mass(
             self.kinematic, self.quad, rho0_qp, geometry0, sumfact=use_sumfact
+        )
+        self.mass_v_action = MassAction.for_space(
+            self.kinematic, self.quad, rho0_qp, geometry0.det
         )
         self.mass_e = assemble_thermodynamic_mass(
             self.thermodynamic, self.quad, rho0_qp, geometry0, sumfact=use_sumfact
@@ -168,7 +177,8 @@ class LagrangianHydroSolver:
 
         self.bc = problem.boundary_conditions(self.kinematic)
         self.momentum = MomentumSolver(
-            self.mass_v, self.bc, tol=config.pcg_tol, maxiter=config.pcg_maxiter
+            self.mass_v, self.mass_v_action, self.bc,
+            tol=config.pcg_tol, maxiter=config.pcg_maxiter,
         )
         from repro.runtime.instrumentation import PhaseTimers
 
@@ -334,7 +344,7 @@ class LagrangianHydroSolver:
             # Leaving the simulated-MPI layer: restore the serial
             # momentum operator and the default RHS assembly.
             self.momentum = MomentumSolver(
-                self.mass_v, self.bc,
+                self.mass_v, self.mass_v_action, self.bc,
                 tol=self.config.pcg_tol, maxiter=self.config.pcg_maxiter,
             )
             self.integrator.momentum = self.momentum
@@ -369,7 +379,7 @@ class LagrangianHydroSolver:
     # -- Diagnostics ------------------------------------------------------------
 
     def energies(self, state: HydroState | None = None) -> EnergyBreakdown:
-        return compute_energies(state or self.state, self.mass_v, self.mass_e)
+        return compute_energies(state or self.state, self.mass_v_action, self.mass_e)
 
     def density_at_points(self, state: HydroState | None = None) -> np.ndarray:
         """(nzones, nqp) density from strong mass conservation."""

@@ -212,7 +212,7 @@ class ZoneParallelExecutor:
             self._pool.dispatch(slot, state.t)
             self._pool.wait()
         except WorkerError as exc:
-            raise RuntimeError(f"parallel corner-force worker failed: {exc}") from exc
+            raise WorkerError(f"parallel corner-force worker failed: {exc}") from exc
         valid = bool(np.all(self._valid > 0.5))
         dt_est = float(self._dt.min()) if valid else 0.0
         return ForceResult(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fem.assembly import assemble_kinematic_mass
+from repro.fem.assembly import MassAction, assemble_kinematic_mass
 from repro.fem.geometry import GeometryEvaluator
 from repro.fem.mesh import cartesian_mesh_2d
 from repro.fem.quadrature import tensor_quadrature
@@ -12,13 +12,28 @@ from repro.hydro.boundary import BoundaryConditions
 from repro.hydro.momentum import MomentumSolver
 
 
-def mass_and_space(k=2, n=2):
+def assembly_inputs(k=2, n=2):
     mesh = cartesian_mesh_2d(n, n)
     sp = H1Space(mesh, k)
     quad = tensor_quadrature(2, 2 * k)
     geo = GeometryEvaluator(sp, quad).evaluate(sp.node_coords)
     rho = np.ones((mesh.nzones, quad.nqp))
+    return sp, quad, rho, geo
+
+
+def mass_and_space(k=2, n=2):
+    sp, quad, rho, geo = assembly_inputs(k, n)
     return assemble_kinematic_mass(sp, quad, rho, geo), sp
+
+
+def momentum_solver(bc=None, **kw):
+    """A `MomentumSolver` on the assembled mass and the action built
+    from the same inputs; returns (solver, mass, space)."""
+    sp, quad, rho, geo = assembly_inputs()
+    mass = assemble_kinematic_mass(sp, quad, rho, geo)
+    action = MassAction.for_space(sp, quad, rho, geo.det)
+    bc = bc(sp) if bc is not None else BoundaryConditions.none(sp)
+    return MomentumSolver(mass, action, bc, **kw), mass, sp
 
 
 class TestBoundaryConditions:
@@ -61,9 +76,7 @@ class TestBoundaryConditions:
 
 class TestMomentumSolver:
     def test_unconstrained_matches_direct(self, rng):
-        mass, sp = mass_and_space()
-        bc = BoundaryConditions.none(sp)
-        solver = MomentumSolver(mass, bc, tol=1e-14)
+        solver, mass, sp = momentum_solver(tol=1e-14)
         rhs = rng.standard_normal((sp.ndof, 2))
         a = solver.solve(rhs)
         dense = mass.to_dense()
@@ -72,27 +85,24 @@ class TestMomentumSolver:
         assert solver.last_info.converged
 
     def test_constrained_components_zero(self, rng):
-        mass, sp = mass_and_space()
-        bc = BoundaryConditions.box_symmetry(sp)
-        solver = MomentumSolver(mass, bc)
+        solver, _, sp = momentum_solver(bc=BoundaryConditions.box_symmetry)
         a = solver.solve(rng.standard_normal((sp.ndof, 2)))
-        assert np.allclose(a[bc.mask], 0.0)
+        assert np.allclose(a[solver.bc.mask], 0.0)
 
     def test_constrained_solution_satisfies_free_equations(self, rng):
-        mass, sp = mass_and_space()
-        bc = BoundaryConditions.box_symmetry(sp)
-        solver = MomentumSolver(mass, bc, tol=1e-14)
+        solver, mass, sp = momentum_solver(
+            bc=BoundaryConditions.box_symmetry, tol=1e-14
+        )
         rhs = rng.standard_normal((sp.ndof, 2))
         a = solver.solve(rhs)
         # On free dofs of component d: (M a)_i == rhs_i.
         for d in range(2):
-            free = ~bc.component_mask(d)
+            free = ~solver.bc.component_mask(d)
             resid = mass.matvec(a[:, d]) - rhs[:, d]
             assert np.allclose(resid[free], 0.0, atol=1e-9)
 
     def test_solve_info_populated(self, rng):
-        mass, sp = mass_and_space()
-        solver = MomentumSolver(mass, BoundaryConditions.none(sp))
+        solver, _, sp = momentum_solver()
         solver.solve(rng.standard_normal((sp.ndof, 2)))
         info = solver.last_info
         assert info.iterations > 0
@@ -100,12 +110,18 @@ class TestMomentumSolver:
         assert info.spmv_count >= info.iterations
 
     def test_shape_validation(self, rng):
-        mass, sp = mass_and_space()
-        solver = MomentumSolver(mass, BoundaryConditions.none(sp))
+        solver, _, sp = momentum_solver()
         with pytest.raises(ValueError):
             solver.solve(rng.standard_normal(sp.ndof))
 
     def test_bc_size_mismatch(self):
-        mass, sp = mass_and_space()
+        solver, mass, sp = momentum_solver()
         with pytest.raises(ValueError):
-            MomentumSolver(mass, BoundaryConditions(sp.ndof + 1, 2))
+            MomentumSolver(mass, solver.action, BoundaryConditions(sp.ndof + 1, 2))
+
+    def test_action_size_mismatch(self):
+        _, mass, sp = momentum_solver()
+        other, quad, rho, geo = assembly_inputs(k=1)
+        with pytest.raises(ValueError, match="mass action"):
+            MomentumSolver(mass, MassAction.for_space(other, quad, rho, geo.det),
+                           BoundaryConditions.none(sp))

@@ -198,8 +198,15 @@ class TestCollectiveValidation:
 
 class TestDistributedMechanics:
     def test_rank_masses_sum_to_global(self):
+        # The ranks' zone-subset mass actions (loop mode's operator
+        # shares), applied to every unit vector, sum to the global matrix.
         solver = make_solver(rank_step="loop")
-        total = sum(r.mass_local.to_dense() for r in solver.backend.ranks)
+        eye = np.eye(solver.kinematic.ndof)
+        total = sum(
+            np.column_stack([a.matvec(e) for e in eye])
+            for a in solver.momentum.rank_actions
+        )
+        assert len(solver.momentum.rank_actions) == solver.backend.nranks
         assert np.allclose(total, solver.mass_v.to_dense(), atol=1e-13)
 
     def test_distributed_matvec_matches(self, rng):

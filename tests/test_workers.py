@@ -21,6 +21,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
+from repro import LagrangianHydroSolver, RunConfig, SedovProblem
 from repro.fem.geometry import GeometryEvaluator
 from repro.fem.mesh import cartesian_mesh_2d
 from repro.fem.quadrature import tensor_quadrature
@@ -195,6 +196,21 @@ class TestSmokeDispatch:
             with _deadline(5.0), pytest.raises(WorkerError) as err:
                 pool.dispatch(0, 0.0)
             assert f"worker 0 (pid {pids[0]}) killed by signal SIGKILL" in str(err.value)
+        _assert_reaped(pids)
+
+    def test_smoke_solver_worker_killed_raises_worker_error(self):
+        # Through the executor and the solver the failure keeps its type
+        # and names the dead worker, so callers can tell it apart.
+        problem = SedovProblem(dim=2, order=2, zones_per_dim=6)  # 36 zones
+        with LagrangianHydroSolver(problem, RunConfig(workers=2)) as solver:
+            solver.executor.start()
+            pids = solver.executor._pool.pids
+            assert len(pids) == 2
+            os.kill(pids[1], signal.SIGKILL)
+            os.waitid(os.P_PID, pids[1], os.WEXITED | os.WNOWAIT)
+            with _deadline(10.0), pytest.raises(WorkerError) as err:
+                solver.run(max_steps=1)
+            assert f"worker 1 (pid {pids[1]}) killed by signal SIGKILL" in str(err.value)
         _assert_reaped(pids)
 
     def test_smoke_roundtrip_latency_sane(self):
