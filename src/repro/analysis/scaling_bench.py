@@ -90,7 +90,6 @@ def _measured_run(zones_per_dim: int, nranks: int, steps: int, machine) -> dict:
         nranks,
         node="cpu-fused",
         overlap=False,  # ledger fully exposed: total_s is the comm bill
-        rank_step="vectorized",
         cost_model=machine.comm,
     )
     solver = LagrangianHydroSolver(
@@ -257,10 +256,10 @@ def bench_rank_throughput(
 ) -> dict:
     """O(100) simulated ranks must step in seconds on one host.
 
-    This is the vectorized rank axis's reason to exist: the loop-mode
-    backend pays O(P) rank-local evaluations per step, the stacked path
-    pays O(total zones) once. The budget is wall time for the whole
-    fixed step budget, setup included.
+    This is the stacked rank step's reason to exist: it evaluates all
+    ranks' zones in O(1) batched calls per phase instead of O(P)
+    rank-local evaluations per step. The budget is wall time for the
+    whole fixed step budget, setup included.
     """
     machine = _bench_machine()
     t0 = time.perf_counter()

@@ -6,11 +6,12 @@ the zero-allocation fused pipeline); `CpuParallelBackend` puts the
 fused engine behind the shared-memory `ZoneParallelExecutor` — the
 repro's stand-in for the paper's OpenMP zone loop.
 
-Every CPU backend can also serve as a *node* backend under
-`repro.backends.distributed.DistributedBackend`: `attach_node` binds it
-to a (shared) engine without building node-level executors, and
-`compute_local` is the rank-local corner-force evaluation the
-distributed layer delegates to.
+Every CPU backend can also serve as the *node* backend under
+`repro.backends.distributed.DistributedBackend`: `attach_node` builds
+its engine but no node-level executor (under `ranks` the rank is the
+parallel unit, so a cpu-parallel node evaluates in-process), and
+`compute_local` is the zone-subset evaluation the distributed layer
+calls once per phase over every rank's zones.
 """
 
 from __future__ import annotations
@@ -36,31 +37,22 @@ class _EngineBackend:
 
     def attach(self, solver) -> None:
         """Bind to a solver as its primary backend (builds the engine)."""
+        self.attach_node(solver)
+
+    def attach_node(self, solver) -> None:
+        """Bind as the node backend under the distributed layer.
+
+        Builds the engine and any device pricing, but no node-level
+        executor: under `ranks`, the rank itself is the parallel unit.
+        """
         if self.engine is not None:
             raise RuntimeError(f"backend '{self.name}' is already attached")
         self.solver = solver
         self.engine = solver._make_engine(fused=self.fused, sumfact=self.sumfact)
         self._post_attach()
 
-    def attach_node(self, solver, engine) -> None:
-        """Bind as one rank's node backend under the distributed layer.
-
-        The engine is shared with the other ranks (per-zone-subset
-        evaluation never touches the fused workspace, so sharing is
-        safe) and node-level executors are skipped: under `ranks`, the
-        rank itself is the parallel unit.
-        """
-        if self.engine is not None:
-            raise RuntimeError(f"backend '{self.name}' is already attached")
-        self.solver = solver
-        self.engine = engine
-        self._post_attach_node()
-
     def _post_attach(self) -> None:
-        """Primary-attachment hook (executors, device pricing)."""
-
-    def _post_attach_node(self) -> None:
-        """Node-attachment hook (pricing only; no executors)."""
+        """Attachment hook (device pricing)."""
 
     def finalize(self, solver) -> None:
         """Late hook, called once the solver is fully constructed.
@@ -77,7 +69,7 @@ class _EngineBackend:
         return self.engine.compute
 
     def compute_local(self, state, zone_ids):
-        """Rank-local corner forces (the distributed delegation point)."""
+        """Corner forces of a zone subset (the distributed delegation point)."""
         if self.engine is None:
             raise RuntimeError(f"backend '{self.name}' is not attached")
         return self.engine.compute_local(state, zone_ids)
@@ -156,7 +148,9 @@ class CpuParallelBackend(_EngineBackend):
         self.chunks = chunks
         self.executor = None
 
-    def _post_attach(self) -> None:
+    def attach(self, solver) -> None:
+        """Bind as the primary backend: the engine behind the worker pool."""
+        super().attach(solver)
         from repro.runtime.parallel import ZoneParallelExecutor
 
         self.executor = ZoneParallelExecutor(

@@ -108,10 +108,6 @@ class HybridBackend(_EngineBackend):
         )
         self._reprice()
 
-    # A per-rank hybrid node prices its split exactly like a primary
-    # one — the distributed layer only redirects the *functional* work.
-    _post_attach_node = _post_attach
-
     def tuning_target(self):
         """A hybrid backend is its own scheduler target."""
         return self

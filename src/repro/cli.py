@@ -272,9 +272,12 @@ def _cmd_run(args) -> int:
     if report.checkpoint_path is not None:
         print(f"wrote {report.checkpoint_path}")
     if args.workers > 0:
+        # Under --ranks the node evaluates in-process: no pool, no count.
         w = result.workload
+        pool = (f"  ({report.executor_workers} workers)"
+                if report.executor_workers is not None else "")
         print(f"phase wall time: force {w.wall_force_s:.3f}s  cg {w.wall_cg_s:.3f}s  "
-              f"other {w.wall_other_s:.3f}s  ({report.executor_workers} workers)")
+              f"other {w.wall_other_s:.3f}s{pool}")
     if args.trace:
         print(f"wrote {args.trace}")
     if args.metrics:

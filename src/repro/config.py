@@ -141,12 +141,6 @@ class RunConfig:
     workers: int = 0
     ranks: int = 0
     overlap: bool = True
-    # Simulated-rank stepping mode: "auto" (vectorized for cpu-* nodes,
-    # per-rank loop for hybrid), "loop", or "vectorized". Vectorized
-    # batches all ranks' phases into stacked array ops so the functional
-    # layer steps O(100-1000) ranks in seconds, with identical comm
-    # pricing.
-    rank_step: str = "auto"
     # Elastic-rank schedule "step:ranks,step:ranks,..." — e.g. "10:8,20:3"
     # grows to 8 ranks after step 10 and shrinks to 3 after step 20
     # (deterministic repartition; needs ranks > 0).
@@ -196,11 +190,6 @@ class RunConfig:
             )
         if self.workers < 0 or self.ranks < 0:
             raise ConfigError("workers and ranks must be non-negative")
-        if self.rank_step not in ("auto", "loop", "vectorized"):
-            raise ConfigError(
-                f"unknown rank_step '{self.rank_step}' "
-                "(choose 'auto', 'loop' or 'vectorized')"
-            )
         if self.rank_schedule and self.ranks < 1:
             raise ConfigError("rank_schedule requires ranks >= 1")
         parse_rank_schedule(self.rank_schedule)
@@ -248,8 +237,9 @@ class RunConfig:
     def resolved_execution(self) -> dict:
         """The resolved `(ranks, backend, workers)` execution triple.
 
-        `backend` is the per-rank *node* policy when `ranks` > 0 (the
-        distributed layer wraps it), the whole policy otherwise.
+        `backend` is the *node* policy that evaluates every rank's zones
+        when `ranks` > 0 (the distributed layer wraps it), the whole
+        policy otherwise.
         """
         return {
             "ranks": self.ranks,

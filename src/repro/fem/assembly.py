@@ -94,15 +94,6 @@ class MassAction:
             space.ndof,
         )
 
-    def restrict(self, zones: np.ndarray) -> "MassAction":
-        """The action of the zone subset `zones` alone (one rank's share).
-
-        Its apply is the partial a rank contributes to the global sum,
-        still sized to the whole space.
-        """
-        zones = np.asarray(zones, dtype=np.int64)
-        return MassAction(self.basis, self.qp_weights[zones], self.ldof[zones], self.ndof)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """y = M @ x."""
         q = x[self.ldof] @ self._basis_t  # (nz, nqp) values at the points

@@ -72,9 +72,10 @@ class MomentumSolver:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """One mass-matrix application — the distributed override point.
 
-        `DistributedMomentumSolver` replaces this with the group-sum of
-        rank-local operators; everything else (preconditioning, BC
-        elimination, convergence accounting) is shared.
+        `VectorizedDistributedMomentumSolver` replaces this with the
+        group sum over the ranks' shares; everything else
+        (preconditioning, BC elimination, convergence accounting) is
+        shared.
         """
         return self.action.matvec(x)
 

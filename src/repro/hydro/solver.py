@@ -151,7 +151,6 @@ class LagrangianHydroSolver:
                     node=name,
                     node_kwargs=node_kwargs,
                     overlap=config.overlap,
-                    rank_step=config.rank_step,
                     rank_schedule=config.rank_schedule,
                 )
             else:
@@ -193,14 +192,12 @@ class LagrangianHydroSolver:
         self.timers = self.integrator.timers
 
         self.executor = getattr(self.backend, "executor", None)
-        if self.executor is None:
-            node0 = getattr(self.backend, "node0", None)
-            self.executor = getattr(node0, "executor", None)
         self.integrator.force_fn = self.backend.force_fn
 
         # Late backend hook: the distributed backend builds everything
         # that needs the mass matrices / momentum solver / integrator
-        # (partition, communicator, rank-local operators) here.
+        # (partition, communicator, stacked-step plan, momentum operator)
+        # here.
         finalize = getattr(self.backend, "finalize", None)
         if finalize is not None:
             finalize(self)
@@ -240,7 +237,7 @@ class LagrangianHydroSolver:
         # hook in `_run_impl`, winners persisted through the tuning
         # cache (warm-starting identical later runs). The backend
         # nominates its own tuning target — a single hybrid backend is
-        # its own; a distributed all-hybrid fleet tunes as one.
+        # its own; a distributed backend nominates its one hybrid node.
         if self.scheduler is not None:
             self.scheduler.finalize()
         self.scheduler = None

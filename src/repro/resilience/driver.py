@@ -417,12 +417,12 @@ class ResilientDriver:
                     elif (
                         self._dist is not None
                         and self._dist.ranks
-                        and self._dist.ranks[0].node.name == "hybrid"
+                        and self._dist.ranks[0].node_name == "hybrid"
                     ):
                         # Distributed hybrid fleet: the priced offload
                         # models one device, so the sticky fault lands
-                        # on rank 0's node — only that rank degrades to
-                        # the CPU path; the fleet scheduler stops.
+                        # on rank 0 — only that rank degrades to the CPU
+                        # path; the fleet scheduler stops.
                         self._dist.swap_node("cpu-fused", rank=0)
                         self._instant("backend_swap", step=steps,
                                       source="hybrid", target="cpu-fused",

@@ -293,8 +293,8 @@ class SimulatedComm:
         is what lets the vectorized rank layer post one collective for
         O(1000) ranks without a Python loop. `nbytes_each` overrides the
         priced per-rank payload (defaults to one row's bytes); the
-        vectorized distributed backend passes the loop-mode payload size
-        so both modes price identically.
+        distributed momentum operator prices a full (ndof,) vector per
+        rank, the payload a rank-local operator would exchange.
         """
         stacked = np.asarray(stacked)
         if stacked.ndim < 1 or stacked.shape[0] != self.nranks:
@@ -321,8 +321,8 @@ class SimulatedComm:
         `values` has shape (nranks,) for one reduction or (nranks, k)
         for k of them; the result is the column-wise minimum (a float
         for the 1-D form, an array of k floats otherwise). Priced and
-        accounted as k scalar tree reductions — the same totals the
-        per-rank loop produced with k separate `iallreduce_min` calls.
+        accounted as k scalar tree reductions — the same totals as k
+        separate `iallreduce_min` calls.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim not in (1, 2) or values.shape[0] != self.nranks:

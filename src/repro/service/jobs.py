@@ -128,9 +128,11 @@ class JobSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
         """Inverse of `to_dict`. Records journaled before `RunConfig`
-        lost its `engine` field still load: the key is dropped, and
-        `engine="legacy"` becomes the backend it resolved to."""
+        lost its `engine` and `rank_step` fields still load: both keys
+        are dropped, and `engine="legacy"` becomes the backend it
+        resolved to."""
         config = dict(d["config"])
+        config.pop("rank_step", None)
         if (config.pop("engine", None) == "legacy" and config.get("backend") is None
                 and not config.get("workers")):
             config["backend"] = "cpu-serial"

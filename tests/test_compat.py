@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import RunConfig, run
+from repro.backends import DistributedBackend
 from repro.hydro.solver import LagrangianHydroSolver
 from repro.problems import SedovProblem
 
@@ -56,6 +57,14 @@ class TestRemovedSpellings:
     def test_engine_field_is_gone(self):
         with pytest.raises(TypeError):
             RunConfig(engine="fused")
+
+    def test_rank_step_field_is_gone(self):
+        with pytest.raises(TypeError):
+            RunConfig(ranks=2, rank_step="vectorized")
+
+    def test_distributed_backend_takes_no_rank_step(self):
+        with pytest.raises(TypeError):
+            DistributedBackend(2, rank_step="loop")
 
     def test_solver_takes_only_a_run_config(self):
         with pytest.raises(TypeError, match="RunConfig"):

@@ -21,7 +21,7 @@ from repro import (
 )
 from repro.api import RunConfig, run
 from repro.backends import DistributedBackend
-from repro.backends.distributed import DistributedMomentumSolver
+from repro.backends.distributed import VectorizedDistributedMomentumSolver
 from repro.errors import ConfigError
 from repro.runtime.mpi_sim import CommCostModel, SimulatedComm
 
@@ -97,15 +97,55 @@ class TestCompositionMatrix:
         report = run("sod", cfg)
         assert report.steps == 3
 
+    def test_smoke_ranks_start_no_worker_pool(self, capsys):
+        """Under ranks the rank is the parallel unit: a cpu-parallel node
+        evaluates in-process, so no pool is built, reported or printed."""
+        with make_solver(nranks=2, workers=2) as solver:
+            assert solver.config.resolved_backend == "cpu-parallel"
+            assert solver.executor is None
+        report = run("sod", RunConfig(workers=2, ranks=2, zones=4, max_steps=3))
+        assert report.executor_workers is None
+        assert "worker_pool" not in report.manifest.solver
+        from repro.cli import main
+
+        assert main(["run", "sod", "--zones", "4", "--t-final", "1.0",
+                     "--max-steps", "3", "--workers", "2", "--ranks", "2"]) == 0
+        phase = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("phase wall time")]
+        assert len(phase) == 1 and "workers" not in phase[0]
+
     def test_smoke_hybrid_fleet_schedules(self):
-        """ranks x hybrid runs the in-band scheduler over the fleet."""
+        """ranks x hybrid runs the in-band scheduler on the one node."""
         report = run("sod", RunConfig(zones=5, ranks=2, backend="hybrid",
                                       max_steps=12, tune_period_steps=3))
         assert report.scheduler is not None
         solver = report.solver
         assert solver.backend.name == "distributed"
-        ratios = {r.node.ratio for r in solver.backend.ranks}
-        assert len(ratios) == 1  # decisions broadcast to the whole fleet
+        assert solver.backend.node.name == "hybrid"
+        # All ranks model the same hardware: the one node is the target.
+        assert solver.scheduler.backend is solver.backend.node
+
+    def test_smoke_sticky_gpu_fault_degrades_rank_zero(self):
+        """A sticky GPU fault on a hybrid fleet degrades rank 0 to
+        cpu-fused and stops the scheduler; physics is unaffected."""
+        cfg = dict(zones=5, max_steps=12)
+        serial = run("sod", RunConfig(**cfg))
+        report = run("sod", RunConfig(ranks=2, backend="hybrid", faults="gpu:2!",
+                                      tune_period_steps=3, telemetry=True, **cfg))
+        actions = [ev.action for ev in report.recovery.faults if ev.kind == "gpu"]
+        assert actions.count("cpu-fallback") == 1
+        assert actions.count("backend swap") == 1
+        swap = next(ev for ev in report.recovery.faults if ev.action == "backend swap")
+        assert swap.detail.startswith("rank 0 hybrid -> cpu-fused")
+        instants = [e for e in report.tracer.events if e["name"] == "backend_swap"]
+        assert len(instants) == 1
+        assert instants[0]["rank"] == 0 and instants[0]["target"] == "cpu-fused"
+        assert report.solver.backend.tuning_target() is None
+        assert report.scheduler.steps_observed == 1
+        assert report.steps == serial.steps
+        for k in "vex":
+            assert np.allclose(getattr(report.state, k), getattr(serial.state, k),
+                               atol=1e-9)
 
 
 class TestOverlap:
@@ -198,20 +238,17 @@ class TestCollectiveValidation:
 
 class TestDistributedMechanics:
     def test_rank_masses_sum_to_global(self):
-        # The ranks' zone-subset mass actions (loop mode's operator
-        # shares), applied to every unit vector, sum to the global matrix.
-        solver = make_solver(rank_step="loop")
+        # The distributed operator (global action, interface rows from
+        # the group sum of the ranks' partials), applied to every unit
+        # vector, is the global matrix.
+        solver = make_solver()
         eye = np.eye(solver.kinematic.ndof)
-        total = sum(
-            np.column_stack([a.matvec(e) for e in eye])
-            for a in solver.momentum.rank_actions
-        )
-        assert len(solver.momentum.rank_actions) == solver.backend.nranks
+        total = np.column_stack([solver.momentum.matvec(e) for e in eye])
         assert np.allclose(total, solver.mass_v.to_dense(), atol=1e-13)
 
     def test_distributed_matvec_matches(self, rng):
-        solver = make_solver(rank_step="loop")
-        assert isinstance(solver.momentum, DistributedMomentumSolver)
+        solver = make_solver()
+        assert isinstance(solver.momentum, VectorizedDistributedMomentumSolver)
         assert solver.integrator.momentum is solver.momentum
         x = rng.standard_normal(solver.kinematic.ndof)
         assert np.allclose(
@@ -261,7 +298,7 @@ class TestDistributedMechanics:
         solver = make_solver(nranks=2)
         full = solver.engine.compute(solver.state)
         for rank in solver.backend.ranks:
-            local = rank.node.compute_local(solver.state, rank.zones)
+            local = solver.engine.compute_local(solver.state, rank.zones)
             assert np.allclose(local.Fz, full.Fz[rank.zones], atol=1e-14)
 
     def test_compute_local_empty_subset(self):
@@ -269,6 +306,17 @@ class TestDistributedMechanics:
         res = solver.engine.compute_local(solver.state, np.array([], dtype=int))
         assert res.Fz.shape[0] == 0
         assert res.valid
+
+    def test_swap_node_degrades_one_rank(self):
+        solver = make_solver(nranks=2, backend="hybrid")
+        backend = solver.backend
+        assert backend.tuning_target() is backend.node
+        # Every rank runs the one fused engine: no flavour change.
+        with pytest.raises(ValueError, match="engine flavour"):
+            backend.swap_node("cpu-serial", rank=0)
+        backend.swap_node("cpu-fused", rank=0)
+        assert [r.node_name for r in backend.ranks] == ["cpu-fused", "hybrid"]
+        assert backend.tuning_target() is None
 
     def test_exclude_rank_continues_physics(self):
         solver = make_solver(nranks=3, zones=4)
@@ -284,43 +332,50 @@ class TestDistributedMechanics:
 
 
 class TestVectorizedRankStep:
-    """Stacked rank stepping: same physics, same priced traffic as loop."""
+    """Stacked rank stepping: serial physics, closed-form priced traffic."""
 
-    def test_smoke_vectorized_matches_loop_with_identical_traffic(self):
-        cfg = dict(zones=5, max_steps=6)
-        loop = run("sedov", RunConfig(ranks=4, rank_step="loop", **cfg))
-        vec = run("sedov", RunConfig(ranks=4, rank_step="vectorized", **cfg))
-        assert vec.steps == loop.steps
-        assert np.allclose(vec.state.v, loop.state.v, atol=1e-12)
-        assert np.allclose(vec.state.e, loop.state.e, atol=1e-12)
-        assert np.allclose(vec.state.x, loop.state.x, atol=1e-12)
-        # Pricing parity is exact: same collectives, same payloads, same
-        # per-rank attribution.
-        assert vec.mpi_traffic.messages == loop.mpi_traffic.messages
-        assert vec.mpi_traffic.bytes == loop.mpi_traffic.bytes
-        assert vec.mpi_traffic.reductions == loop.mpi_traffic.reductions
-        assert vec.mpi_traffic.per_rank_dict() == loop.mpi_traffic.per_rank_dict()
+    def test_smoke_traffic_matches_closed_form(self):
+        # Per force evaluation: one stacked (n_iface, dim) exchange and
+        # one scalar dt minimum; per operator apply: one exchange priced
+        # at a full (ndof,) vector per rank. Each reduction is a tree of
+        # 2(P-1) messages.
+        for nranks in (2, 4, 7):
+            solver = make_solver(nranks=nranks, zones=5)
+            counts = {"force": 0, "apply": 0}
 
-    def test_vectorized_force_phase_bitwise_vs_loop(self):
-        loop = make_solver(rank_step="loop")
-        vec = make_solver(rank_step="vectorized")
-        rl = loop.integrator.force_fn(loop.state)
-        rv = vec.integrator.force_fn(vec.state)
-        # Same zones, same per-rank accumulation order in the interface
-        # scatter; what remains is pure batching-layout FP reordering
-        # (loop evaluates per-rank slices, vectorized evaluates the
-        # iface/interior concats) — the same budget `compute_local`
-        # itself is held to against the global evaluation.
-        np.testing.assert_allclose(rv.Fz, rl.Fz, rtol=1e-13, atol=1e-14)
-        np.testing.assert_allclose(rv.rhs_mom, rl.rhs_mom, rtol=1e-13, atol=1e-14)
-        assert rv.dt_est == pytest.approx(rl.dt_est, rel=1e-13)
+            def counted(fn, key):
+                def call(*args):
+                    counts[key] += 1
+                    return fn(*args)
+                return call
 
-    def test_auto_resolves_vectorized_except_hybrid(self):
-        vec = make_solver(nranks=2)
-        assert vec.backend.describe()["rank_step"] == "vectorized"
-        hyb = make_solver(nranks=2, backend="hybrid")
-        # Hybrid nodes carry per-rank split state -> stays on loop mode.
-        assert hyb.backend.describe()["rank_step"] == "loop"
+            solver.integrator.force_fn = counted(solver.integrator.force_fn, "force")
+            solver.momentum.matvec = counted(solver.momentum.matvec, "apply")
+            assert solver.run(t_final=1.0, max_steps=6).steps == 6
+            F, S = counts["force"], counts["apply"]
+            n_iface = solver.momentum.plan.n_iface
+            ndof, dim = solver.kinematic.ndof, solver.kinematic.dim
+            traffic = solver.backend.comm.traffic
+            assert traffic.reductions == 2 * F + S
+            assert traffic.messages == 2 * (nranks - 1) * (2 * F + S)
+            assert traffic.bytes == 2 * (nranks - 1) * (
+                F * (8 * dim * n_iface + 8) + S * 8 * ndof
+            )
+
+    def test_force_phase_matches_serial_engine(self):
+        # The stacked evaluation (interface and interior concats) against
+        # the serial engine (whole mesh) on the same state: only batching
+        # layout reorders the floating-point sums.
+        serial = LagrangianHydroSolver(SedovProblem(dim=2, order=2, zones_per_dim=4))
+        rs = serial.integrator.force_fn(serial.state)
+        Fz = rs.Fz.copy()
+        rhs = serial.kinematic.scatter_add(serial.engine.force_times_one(Fz))
+        for nranks in (2, 4):
+            dist = make_solver(nranks=nranks)
+            rd = dist.integrator.force_fn(dist.state)
+            np.testing.assert_allclose(rd.Fz, Fz, rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(rd.rhs_mom, rhs, rtol=1e-13, atol=1e-14)
+            assert rd.dt_est == pytest.approx(rs.dt_est, rel=1e-13)
 
     def test_per_rank_attribution_sums_at_high_rank_count(self):
         report = run("sedov", RunConfig(zones=8, ranks=64, max_steps=2,

@@ -4,16 +4,14 @@ The momentum PCG and the energy diagnostic apply M_V through
 `repro.fem.assembly.MassAction`; the assembled CSR matrix stays as the
 reference. The action must equal the CSR SpMV to roundoff on every
 registry problem, against both mass assemblies (cpu-fused's dense
-blocks and cpu-sumfact's factorized chain); zone-subset applies over a
-partition must sum to the global apply; and the PCG must take the same
-number of iterations with either operator.
+blocks and cpu-sumfact's factorized chain), and the PCG must take the
+same number of iterations with either operator.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import PROBLEM_NAMES, RunConfig, make_problem
-from repro.fem.partition import partition_rcb
 from repro.hydro.momentum import MomentumSolver
 from repro.hydro.solver import LagrangianHydroSolver
 
@@ -46,20 +44,6 @@ def test_action_matches_csr_sedov_3d(order, backend, rng):
     with build("sedov", dim=3, order=order, zones=2, backend=backend) as solver:
         x = rng.standard_normal(solver.kinematic.ndof)
         assert rel_err(solver.mass_v_action.matvec(x), solver.mass_v.matvec(x)) <= REL_TOL
-
-
-@pytest.mark.parametrize("nparts", [1, 3, 8])
-def test_zone_subsets_sum_to_global(nparts, rng):
-    with build("triple-pt", order=2, zones=4) as solver:
-        mesh = solver.problem.mesh
-        zone_rank = partition_rcb(mesh.zone_vertex_coords().mean(axis=1), nparts)
-        action = solver.mass_v_action
-        x = rng.standard_normal(action.ndof)
-        parts = [action.restrict(np.flatnonzero(zone_rank == r)).matvec(x)
-                 for r in range(nparts)]
-        assert all(p.shape == (action.ndof,) for p in parts)
-        assert rel_err(sum(parts), action.matvec(x)) <= REL_TOL
-        assert not action.restrict(np.empty(0, dtype=np.int64)).matvec(x).any()
 
 
 def test_action_validates_shapes():

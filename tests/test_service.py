@@ -438,17 +438,22 @@ class TestFleetSmoke:
         fleet.shutdown(wait=False)
 
     def test_smoke_recovers_submit_records_that_carry_engine(self, tmp_path):
-        # Submit records journaled while RunConfig still had an `engine`
-        # field carry it in their config; they must recover, with the
-        # `engine="legacy"` mapped to the backend it resolved to.
+        # Submit records journaled while RunConfig still had `engine` and
+        # `rank_step` fields carry them in their config; they must
+        # recover, with `engine="legacy"` mapped to the backend it
+        # resolved to and `rank_step` dropped whatever its value.
         journal = tmp_path / "journal.jsonl"
         old = JobJournal(journal)
-        for job_id, engine, workers in (("fused", "fused", 0),
-                                        ("legacy", "legacy", 0),
-                                        ("legacy-workers", "legacy", 2)):
+        for job_id, key, value, workers in (
+                ("fused", "engine", "fused", 0),
+                ("legacy", "engine", "legacy", 0),
+                ("legacy-workers", "engine", "legacy", 2),
+                ("auto", "rank_step", "auto", 0),
+                ("loop", "rank_step", "loop", 0),
+                ("vectorized", "rank_step", "vectorized", 0)):
             job = JobSpec("sedov", TINY.replace(workers=workers),
                           job_id=job_id).to_dict()
-            job["config"]["engine"] = engine
+            job["config"][key] = value
             old.append("submit", job=job)
         fleet = inline_fleet(journal_path=journal)
         recovered = {h.job_id: h.spec.config for h in fleet.recovered}
@@ -456,6 +461,9 @@ class TestFleetSmoke:
             "fused": TINY,
             "legacy": TINY.replace(backend="cpu-serial"),
             "legacy-workers": TINY.replace(workers=2),
+            "auto": TINY,
+            "loop": TINY,
+            "vectorized": TINY,
         }
         fleet.process()
         assert all(h.result.ok for h in fleet.recovered)
