@@ -1,10 +1,10 @@
 """Durable BENCH_*.json history files.
 
-Every benchmark in this repo appends one record per invocation to a
-JSON history file at the repo root (`BENCH_hotpath.json`,
-`BENCH_comm_overlap.json`, ...), so regressions are visible across
-runs. `append_bench_record` is the one shared writer, with the same
-hardening the rest of the repo's durable artifacts get:
+The scaling and comm-overlap benchmarks append one record per
+invocation to a JSON history file at the repo root
+(`BENCH_scaling.json`, `BENCH_comm_overlap.json`), so regressions are
+visible across runs. `append_bench_record` is the one shared writer,
+with the same hardening the rest of the repo's durable artifacts get:
 
 * the updated history is written to a temp file in the same directory
   and moved into place with `os.replace` — a crash mid-write can never

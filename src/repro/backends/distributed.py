@@ -255,13 +255,21 @@ class DistributedBackend:
             return self._rcb(self._initial_nranks)
         return np.asarray(self._zone_rank_init, dtype=np.int64)
 
-    def _repartition(self, zone_rank: np.ndarray, nranks: int, carry=True) -> None:
+    def _repartition(
+        self, zone_rank: np.ndarray, nranks: int, carry=True, survivors=None
+    ) -> None:
         """Move to a new zone -> rank map over `nranks` ranks.
 
         Rebuilds the communicator — carrying the run's traffic and
         ledger over when `carry`, so totals stay cumulative — and every
-        partition-derived structure.
+        partition-derived structure. New rank `i` keeps the node name of
+        old rank `survivors[i]` (default: rank `i`), so a rank degraded
+        by `swap_node` stays degraded; a rank with no predecessor runs
+        the node.
         """
+        old_names = [r.node_name for r in self.ranks]
+        names = [old_names[s] if s < len(old_names) else self.node_name
+                 for s in (survivors or range(nranks))]
         old = self.comm
         self.zone_rank = zone_rank
         self.nranks = nranks
@@ -275,6 +283,8 @@ class DistributedBackend:
             self.comm.traffic = old.traffic
             self.comm.ledger = old.ledger
         self._build_partition(self.solver)
+        for rank, name in zip(self.ranks, names):
+            rank.node_name = name
 
     def _build_partition(self, solver) -> None:
         """(Re)build everything derived from the zone -> rank map.
@@ -515,7 +525,9 @@ class DistributedBackend:
             zr[z] = survivors[i % len(survivors)]
         remap = {old: new for new, old in enumerate(survivors)}
         self._repartition(
-            np.asarray([remap[r] for r in zr], dtype=np.int64), self.nranks - 1
+            np.asarray([remap[r] for r in zr], dtype=np.int64),
+            self.nranks - 1,
+            survivors=survivors,
         )
         self._record_transition("exclude")
 

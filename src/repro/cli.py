@@ -4,7 +4,7 @@
     python -m repro run sod --backend cpu-parallel --workers 4
     python -m repro run sedov --backend hybrid --tuning-cache tune.json
     python -m repro run sedov --ranks 4 --backend cpu-fused --overlap on
-    python -m repro bench hotpath --quick
+    python -m repro bench scaling --quick
     python -m repro info devices
     python -m repro model greenup --order 2
     python -m repro tune kernel3 --device K20 --order 2
@@ -14,7 +14,9 @@
 
 `run` drives the real solver under one of five execution backends
 (--backend cpu-serial|cpu-fused|cpu-sumfact|cpu-parallel|hybrid, with
-optional VTK/checkpoint output); `bench` runs the perf-regression harness;
+optional VTK/checkpoint output); `bench scaling` checks the measured
+weak/strong scaling curves against the analytic model (performance is
+measured by `perfbench/run.py`);
 `model` prices workloads on the simulated hardware; `tune` runs the
 autotuner (single kernel, or a whole campaign with `tune campaign`);
 `info` dumps the device catalogs; `submit`/`serve` journal jobs and
@@ -112,15 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the RunManifest as JSON instead of the "
                           "human-readable report")
 
-    bench = sub.add_parser("bench", help="performance-regression benchmarks")
-    bench.add_argument("target", choices=("hotpath", "scaling"))
+    bench = sub.add_parser("bench", help="scaling-model benchmark")
+    bench.add_argument("target", choices=("scaling",))
     bench.add_argument("--quick", action="store_true",
-                       help="small perf-smoke configuration (< 60 s)")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="parallel-executor workers (hotpath only; "
-                            "default: all cores)")
+                       help="fewer steps per point (< 60 s CI smoke)")
     bench.add_argument("--json", default=None,
-                       help="override the BENCH_<target>.json location")
+                       help="override the BENCH_scaling.json location")
 
     info = sub.add_parser("info", help="inventory dumps")
     info.add_argument("topic", choices=("devices", "kernels"))
@@ -286,14 +285,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.target == "scaling":
-        from repro.analysis.scaling_bench import run_scaling_bench
+    from repro.analysis.scaling_bench import run_scaling_bench
 
-        run_scaling_bench(quick=args.quick, json_path=args.json)
-        return 0
-    from repro.analysis.hotpath import run_hotpath_bench
-
-    run_hotpath_bench(quick=args.quick, workers=args.workers, json_path=args.json)
+    run_scaling_bench(quick=args.quick, json_path=args.json)
     return 0
 
 

@@ -239,12 +239,14 @@ class RunConfig:
 
         `backend` is the *node* policy that evaluates every rank's zones
         when `ranks` > 0 (the distributed layer wraps it), the whole
-        policy otherwise.
+        policy otherwise. `workers` is the size of the pool that runs:
+        0 under `ranks`, where the node evaluates in-process and starts
+        no pool.
         """
         return {
             "ranks": self.ranks,
             "backend": self.resolved_backend,
-            "workers": self.workers,
+            "workers": 0 if self.ranks else self.workers,
         }
 
     @property

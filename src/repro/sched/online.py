@@ -358,11 +358,6 @@ class OnlineScheduler:
                 backend=self.backend.name, objective=self.objective.name,
             )
 
-    @property
-    def done(self) -> bool:
-        """True once tuning + balancing finished (or warm-started)."""
-        return self._state == "done"
-
     # -- The per-step hook --------------------------------------------------
 
     def on_step(self, wall_s: float = 0.0) -> None:

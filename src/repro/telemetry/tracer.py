@@ -8,9 +8,10 @@ solver emits into one tracer; listeners (`repro.telemetry.sampler`)
 observe span transitions and attribute energy to whichever span is open.
 
 Disabled tracing is a strict no-op: `Tracer(enabled=False).span(...)`
-returns one shared null context manager and allocates nothing, so the
-hot path with telemetry off stays within noise of the untraced build
-(gated by `benchmarks/bench_hotpath.py`).
+returns one shared null context manager and allocates nothing, and a
+solver built with telemetry off holds no tracer at all (pinned by
+`tests/test_telemetry.py`: `test_disabled_tracer_is_null` and
+`test_solver_without_tracer_allocates_no_spans`).
 """
 
 from __future__ import annotations

@@ -70,13 +70,28 @@ class TestRemovedSpellings:
         with pytest.raises(TypeError, match="RunConfig"):
             LagrangianHydroSolver(sedov(), {"cfl": 0.3})
 
-    def test_cli_engine_flag_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "sedov", "--zones", "3", "--t-final", "0.005",
+              "--engine", "fused", "--json"], "unrecognized arguments"),
+            (["bench", "hotpath", "--quick", "--json", "<tmp>"],
+             "invalid choice"),
+            (["bench", "scaling", "--quick", "--workers", "2",
+              "--json", "<tmp>"], "unrecognized arguments"),
+        ],
+        ids=["run-engine", "bench-hotpath", "bench-scaling-workers"],
+    )
+    def test_cli_removed_spellings_rejected(self, argv, message, tmp_path, capsys):
+        """Each removed CLI spelling exits 2 with a usage line. A bench
+        that ran anyway writes under `tmp_path`, never to a committed
+        BENCH_*.json (`run --json` prints the manifest and writes nothing)."""
         from repro.cli import main
 
+        json_path = str(tmp_path / "BENCH.json")
         with pytest.raises(SystemExit) as exc:
-            main(["run", "sedov", "--zones", "3", "--t-final", "0.005",
-                  "--engine", "fused"])
+            main([json_path if a == "<tmp>" else a for a in argv])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: repro")
-        assert "unrecognized arguments" in err
+        assert message in err

@@ -92,7 +92,7 @@ class TestCompositionMatrix:
         cfg = RunConfig(workers=2, ranks=2, zones=4, max_steps=3)
         assert cfg.resolved_backend == "cpu-parallel"
         assert cfg.resolved_execution == {
-            "ranks": 2, "backend": "cpu-parallel", "workers": 2,
+            "ranks": 2, "backend": "cpu-parallel", "workers": 0,
         }
         report = run("sod", cfg)
         assert report.steps == 3
@@ -317,6 +317,16 @@ class TestDistributedMechanics:
         backend.swap_node("cpu-fused", rank=0)
         assert [r.node_name for r in backend.ranks] == ["cpu-fused", "hybrid"]
         assert backend.tuning_target() is None
+        # The degraded rank keeps its name through every repartition.
+        backend.resize_ranks(3)
+        assert [r.node_name for r in backend.ranks] == [
+            "cpu-fused", "hybrid", "hybrid"]
+        assert backend.tuning_target() is None
+        backend.exclude_rank(1)
+        assert [r.node_name for r in backend.ranks] == ["cpu-fused", "hybrid"]
+        solver.reset()
+        assert backend.ranks[0].node_name == "cpu-fused"
+        assert solver.scheduler is None
 
     def test_exclude_rank_continues_physics(self):
         solver = make_solver(nranks=3, zones=4)

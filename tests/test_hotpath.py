@@ -323,21 +323,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "simulated MPI traffic" in out
 
-    def test_bench_hotpath_quick(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "bench.json"
-        rc = main(["bench", "hotpath", "--quick", "--workers", "1",
-                   "--json", str(path)])
-        assert rc == 0
-        import json
-
-        records = json.loads(path.read_text())
-        assert len(records) == 1
-        case = records[0]["cases"][0]
-        assert case["fused_speedup"] > 1.0
-        assert case["fused_rel_err"] < 1e-13
-
 
 class TestAppendBenchRecord:
     """The shared BENCH_*.json append helper (atomic temp+rename)."""

@@ -356,10 +356,11 @@ class TestFacade:
 
     def test_workers_ranks_compose(self):
         # The old workers-xor-ranks restriction is gone: ranks wrap the
-        # resolved node backend (here cpu-parallel) per rank.
+        # resolved node backend (here cpu-parallel), which evaluates
+        # in-process, so no pool runs.
         cfg = RunConfig(workers=2, ranks=2)
         assert cfg.resolved_execution == {
-            "ranks": 2, "backend": "cpu-parallel", "workers": 2,
+            "ranks": 2, "backend": "cpu-parallel", "workers": 0,
         }
 
 

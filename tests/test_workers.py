@@ -214,8 +214,9 @@ class TestSmokeDispatch:
         _assert_reaped(pids)
 
     def test_smoke_roundtrip_latency_sane(self):
-        # Not a perf gate (bench_dispatch_overhead owns that); this
-        # catches the fabric regressing to e.g. a polling sleep.
+        # Not a perf gate (perfbench sedov-q2-par2's pool.wait_ms_per_step
+        # owns that); this catches the fabric regressing to e.g. a
+        # polling sleep.
         with PersistentWorkerPool(1, _noop, name="t-lat") as pool:
             pool.start()
             for _ in range(10):
