@@ -17,11 +17,12 @@ reports the modeled step time
 
 which `overlap=on` must strictly reduce. Every run appends to
 BENCH_comm_overlap.json so the overlap win has a trajectory to regress
-against.
+against (`--json PATH` appends to another file instead).
 """
 
 from __future__ import annotations
 
+import argparse
 import time
 from pathlib import Path
 
@@ -128,7 +129,7 @@ def _default_json_path() -> Path:
     return root / "BENCH_comm_overlap.json"
 
 
-def run() -> dict:
+def run(json_path=None) -> dict:
     d = compute()
     print(f"comm/compute overlap (sedov {ZONES}x{ZONES} Q2, "
           f"{RANKS} ranks, {STEPS} steps, "
@@ -145,7 +146,7 @@ def run() -> dict:
     print(f"overlap saves {saved_ms:.1f} ms modeled "
           f"({d['hidden_exchange_fraction']:.0%} of the interface exchange "
           f"hidden under interior zones); physics bitwise identical")
-    path = _append_record(d)
+    path = _append_record(d, Path(json_path) if json_path else None)
     print(f"appended record to {path}")
     return d
 
@@ -162,4 +163,7 @@ def test_comm_overlap(benchmark):
 
 
 if __name__ == "__main__":
-    run()
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--json", default=None,
+                    help="override BENCH_comm_overlap.json path")
+    run(json_path=ap.parse_args().json)

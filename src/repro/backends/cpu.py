@@ -9,9 +9,10 @@ repro's stand-in for the paper's OpenMP zone loop.
 Every CPU backend can also serve as the *node* backend under
 `repro.backends.distributed.DistributedBackend`: `attach_node` builds
 its engine but no node-level executor (under `ranks` the rank is the
-parallel unit, so a cpu-parallel node evaluates in-process), and
-`compute_local` is the zone-subset evaluation the distributed layer
-calls once per phase over every rank's zones.
+parallel unit, so a cpu-parallel node evaluates in-process). The
+distributed layer then evaluates every rank's zones through the
+engine's fused zone-subset entry (`ForceEngine.compute_subset`), once
+per phase, whichever engine flavour the node built.
 """
 
 from __future__ import annotations
@@ -67,12 +68,6 @@ class _EngineBackend:
         if self.engine is None:
             raise RuntimeError(f"backend '{self.name}' is not attached")
         return self.engine.compute
-
-    def compute_local(self, state, zone_ids):
-        """Corner forces of a zone subset (the distributed delegation point)."""
-        if self.engine is None:
-            raise RuntimeError(f"backend '{self.name}' is not attached")
-        return self.engine.compute_local(state, zone_ids)
 
     def tuning_target(self):
         """The object the in-band scheduler drives, or None.

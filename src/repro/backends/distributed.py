@@ -16,16 +16,19 @@ measured, not just modeled:
 
 - corner forces: every rank's zones are split into *interface* zones
   (touching shared dofs) and *interior* zones. All ranks' interface
-  zones are evaluated in one rank-major `compute_local` call; their
-  per-rank partials land in a (nranks, n_iface, dim) stack via
-  `np.bincount` and are exchanged through one nonblocking
-  `iallreduce_sum_stacked`, posted before the interior zones are
-  evaluated (one more `compute_local` call), so interior-zone
-  evaluation hides the (modeled) transfer when `overlap` is on. Physics
-  is bitwise identical either way — only the `CommLedger`
-  exposed/hidden split moves.
-- time step: per-rank minima by `np.minimum.at`, combined through
-  `iallreduce_min_batch`.
+  zones form one rank-major zone subset, and all interior zones
+  another, each prepared once per partition and evaluated by the
+  node engine's fused zone-subset entry (`ForceEngine.compute_subset`,
+  whatever the node's flavour). The interface phase's per-rank
+  partials land in a (nranks, n_iface, dim) stack via `np.bincount`
+  and are exchanged through one nonblocking `iallreduce_sum_stacked`,
+  posted before the interior phase, so interior-zone evaluation hides
+  the (modeled) transfer when `overlap` is on. Physics is bitwise
+  identical either way — only the `CommLedger` exposed/hidden split
+  moves.
+- time step: each phase's result carries its per-zone dt minima (one
+  CFL pass per phase); per-rank minima by `np.minimum.at`, combined
+  through `iallreduce_min_batch`.
 - momentum PCG: `VectorizedDistributedMomentumSolver` applies the
   global partial-assembly `MassAction` once and replaces the interface
   rows with the sum of per-rank partials contracted from the
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import parse_rank_schedule
-from repro.hydro.corner_force import ForceResult
+from repro.hydro.corner_force import ForceResult, ZoneSubset
 from repro.hydro.momentum import MomentumSolver
 from repro.runtime.groups import (
     DofGroups,
@@ -96,13 +99,15 @@ class _VecPlan:
     """Precomputed index machinery for the vectorized rank step.
 
     Built once per partition. `ifz`/`inz` are the interface/interior
-    zones of *all* ranks concatenated rank-major (so one `compute_local`
-    per phase covers every rank, and each dof accumulates its zones in
-    rank order). `scat_idx` maps each (zone-dof) entry that lands
-    on an interface dof to its flat (rank, iface-position) slot;
-    `scat_src` selects the matching rows of the zone-local RHS. The
-    interface-zone mass blocks power the momentum matvec's per-rank
-    interface partials without per-rank operators.
+    zones of *all* ranks concatenated rank-major (so one zone-subset
+    evaluation per phase covers every rank, and each dof accumulates
+    its zones in rank order); `sub_if`/`sub_in` are the engine subsets
+    prepared over them, released when the partition is rebuilt.
+    `scat_idx` maps each (zone-dof) entry that lands on an interface
+    dof to its flat (rank, iface-position) slot; `scat_src` selects the
+    matching rows of the zone-local RHS. The interface-zone mass blocks
+    power the momentum matvec's per-rank interface partials without
+    per-rank operators.
     """
 
     ifz: np.ndarray        # interface zones, rank-major concat
@@ -115,6 +120,8 @@ class _VecPlan:
     scat_src: np.ndarray   # rows into (n_ifz * ndof_per_zone) flattened arrays
     ldof_ifz: np.ndarray   # (n_ifz, ndof_per_zone) dof map of interface zones
     mass_blocks: np.ndarray  # (n_ifz, ndz, ndz) interface-zone mass blocks
+    sub_if: ZoneSubset     # engine subset over `ifz`
+    sub_in: ZoneSubset     # engine subset over `inz`
 
 
 class VectorizedDistributedMomentumSolver(MomentumSolver):
@@ -134,6 +141,8 @@ class VectorizedDistributedMomentumSolver(MomentumSolver):
         self.plan = plan
         self.nranks = nranks
         self.comm = comm
+        n_ifz, ndz, _ = plan.mass_blocks.shape
+        self.flops_per_apply += 2 * n_ifz * ndz * ndz  # the interface partials
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.action.matvec(x)
@@ -160,6 +169,8 @@ class DistributedBackend:
         rank's zones ("cpu-serial" / "cpu-fused" / "cpu-sumfact" /
         "cpu-parallel" / "hybrid"). It runs in-process: under ranks the
         rank is the parallel unit, so a cpu-parallel node starts no pool.
+        Whatever its flavour, its engine evaluates the ranks' zones
+        through the fused zone-subset entry.
     node_kwargs : forwarded to the node backend's constructor.
     zone_rank : optional explicit zone -> rank map (default: RCB).
     overlap : overlap the interface-dof exchange with interior-zone
@@ -290,7 +301,9 @@ class DistributedBackend:
         """(Re)build everything derived from the zone -> rank map.
 
         Dof groups, the ranks' interface/interior split, the stacked-step
-        plan, and the momentum operator over them.
+        plan with its two engine zone subsets (the previous plan's are
+        released first, so repartitions do not accumulate workspaces),
+        and the momentum operator over them.
         """
         self.groups = build_dof_groups(solver.kinematic, self.zone_rank)
         self._iface_dofs = interface_dofs(self.groups)
@@ -304,6 +317,10 @@ class DistributedBackend:
             )
             for r in range(self.nranks)
         ]
+        old = self._vec_plan
+        if old is not None:
+            self.engine.release_subset(old.sub_if)
+            self.engine.release_subset(old.sub_in)
         self._vec_plan = self._build_vec_plan(solver)
         self.momentum = VectorizedDistributedMomentumSolver(
             solver.mass_v,
@@ -364,6 +381,8 @@ class DistributedBackend:
             scat_src=scat_src,
             ldof_ifz=ldof_ifz,
             mass_blocks=blocks,
+            sub_if=self.engine.prepare_subset(ifz),
+            sub_in=self.engine.prepare_subset(inz),
         )
 
     # -- The distributed corner force ----------------------------------------
@@ -377,43 +396,46 @@ class DistributedBackend:
     def _compute(self, state) -> ForceResult:
         """Two-phase distributed corner-force evaluation over the rank axis.
 
-        Phase 1 evaluates every rank's *interface* zones in one
-        rank-major `compute_local` call, lands the per-rank partials in
-        a (nranks, n_iface, dim) stack via `np.bincount` and posts their
-        exchange as one `iallreduce_sum_stacked`; phase 2 evaluates
-        every rank's *interior* zones — with `overlap` on, while the
+        Phase 1 evaluates every rank's *interface* zones (one prepared
+        rank-major subset, through the engine's fused `compute_subset`),
+        lands the per-rank partials in a (nranks, n_iface, dim) stack
+        via `np.bincount` and posts their exchange as one
+        `iallreduce_sum_stacked`; phase 2 evaluates every rank's
+        *interior* zones the same way — with `overlap` on, while the
         exchange is (modeled as) in flight. Only where the `wait` lands
         differs between the overlap settings, which is exactly the
         exposed-vs-hidden pricing split. Interior zones touch no
         interface dofs, so the global RHS scatter-add followed by the
         overwrite of the interface rows with the collective's sum is
-        the group sum of the ranks' partials.
+        the group sum of the ranks' partials. Each phase's result
+        carries its per-zone dt minima, so dt costs one CFL pass per
+        phase.
         """
         sol = self.solver
         kin = sol.kinematic
         ndof, dim = kin.ndof, kin.dim
         plan = self._vec_plan
         comm = self.comm
+        engine = self.engine
 
         # Phase 1: all interface zones, one batched evaluation.
-        res_if = self.node.compute_local(state, plan.ifz)
+        res_if = engine.compute_subset(state, plan.sub_if)
         if not res_if.valid:
             return ForceResult(None, None, None, 0.0, valid=False)
         stacked = np.zeros((self.nranks, plan.n_iface, dim))
-        if plan.ifz.size:
-            rhs_if = self.engine.force_times_one(res_if.Fz).reshape(-1, dim)
-            for d in range(dim):
-                stacked[..., d] = np.bincount(
-                    plan.scat_idx,
-                    weights=rhs_if[plan.scat_src, d],
-                    minlength=self.nranks * plan.n_iface,
-                ).reshape(self.nranks, plan.n_iface)
+        rhs_if = engine.force_times_one(res_if.Fz).reshape(-1, dim)
+        for d in range(dim):
+            stacked[..., d] = np.bincount(
+                plan.scat_idx,
+                weights=rhs_if[plan.scat_src, d],
+                minlength=self.nranks * plan.n_iface,
+            ).reshape(self.nranks, plan.n_iface)
         req = comm.iallreduce_sum_stacked(stacked)
         if not self.overlap:
             iface_sum = comm.wait(req)
 
         # Phase 2: all interior zones — the hiding window when overlapping.
-        res_in = self.node.compute_local(state, plan.inz)
+        res_in = engine.compute_subset(state, plan.sub_in)
         if not res_in.valid:
             if self.overlap:
                 comm.wait(req)
@@ -424,35 +446,23 @@ class DistributedBackend:
         # Momentum RHS: interface-zone then interior-zone scatter-adds
         # (rank-major), with the interface rows taken from the collective.
         rhs = np.zeros((ndof, dim))
-        if plan.ifz.size:
-            np.add.at(rhs, plan.ldof_ifz.reshape(-1), rhs_if)
-        if plan.inz.size:
-            rhs_in = self.engine.force_times_one(res_in.Fz).reshape(-1, dim)
-            np.add.at(rhs, kin.ldof[plan.inz].reshape(-1), rhs_in)
+        np.add.at(rhs, plan.ldof_ifz.reshape(-1), rhs_if)
+        rhs_in = engine.force_times_one(res_in.Fz).reshape(-1, dim)
+        np.add.at(rhs, plan.sub_in.ldof.reshape(-1), rhs_in)
         rhs[plan.iface_dofs] = iface_sum
 
         # Per-rank dt minima over the rank axis, reduced as one batch of
         # scalar min-allreduces (pricing: one reduction).
         per_rank_dt = np.full(self.nranks, np.inf)
-        if plan.ifz.size:
-            np.minimum.at(
-                per_rank_dt, plan.ifz_rank,
-                self.engine.estimate_dt_zones(res_if.points, res_if.geometry),
-            )
-        if plan.inz.size:
-            np.minimum.at(
-                per_rank_dt, plan.inz_rank,
-                self.engine.estimate_dt_zones(res_in.points, res_in.geometry),
-            )
+        np.minimum.at(per_rank_dt, plan.ifz_rank, res_if.dt_zones)
+        np.minimum.at(per_rank_dt, plan.inz_rank, res_in.dt_zones)
         dt_req = comm.iallreduce_min_batch(per_rank_dt)
 
         Fz = np.empty(
             (kin.mesh.nzones, kin.ndof_per_zone, dim, sol.thermodynamic.ndof_per_zone)
         )
-        if plan.ifz.size:
-            Fz[plan.ifz] = res_if.Fz
-        if plan.inz.size:
-            Fz[plan.inz] = res_in.Fz
+        Fz[plan.ifz] = res_if.Fz
+        Fz[plan.inz] = res_in.Fz
         dt = comm.wait(dt_req)
 
         result = ForceResult(Fz, None, None, float(dt), valid=True)

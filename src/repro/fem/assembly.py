@@ -81,6 +81,10 @@ class MassAction:
         if self.ldof.shape[1:] != (self.basis.shape[1],):
             raise ValueError("ldof must be (nzones, ndof_per_zone)")
         self._flat = self.ldof.reshape(-1)
+        nz, ndz = self.ldof.shape
+        nqp = self.basis.shape[0]
+        #: Flops of one `matvec`: two (nz, nqp, ndz) GEMMs and the scaling.
+        self.flops_per_apply = 4 * nz * ndz * nqp + nz * nqp
 
     @classmethod
     def for_space(cls, space, quad: QuadratureRule, rho_qp: np.ndarray,

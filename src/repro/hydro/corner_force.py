@@ -31,6 +31,11 @@ evaluated once per RK2 stage into a read-only per-`x` cache, and the
 corner-force matrix is produced by a single fused five-operand
 contraction. The two modes agree to a few ULPs (~1e-15 relative; the
 fused contractions reorder mathematically-identical floating point).
+
+The fused stages also evaluate any zone subset prepared with
+`prepare_subset` (`compute_subset`): the simulated ranks' interface and
+interior phases and the zone-parallel executor's chunks all go through
+that one entry, whatever the engine's mode.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ __all__ = [
     "PointData",
     "SumfactForceEngine",
     "SumfactStress",
+    "ZoneSubset",
     "corner_force_loops",
 ]
 
@@ -86,7 +92,8 @@ class ForceResult:
 
     Fz has layout (nzones, ndof_h1_zone, dim, ndof_l2_zone); the paper's
     2D matrix view flattens (i, d) into the row index (e.g. 81 x 8 for
-    3D Q2-Q1 zones).
+    3D Q2-Q1 zones). A zone-subset evaluation also carries `dt_zones`,
+    the per-zone CFL minima (dt_est is their min).
     """
 
     Fz: np.ndarray
@@ -95,6 +102,27 @@ class ForceResult:
     dt_est: float
     valid: bool = True
     Az: np.ndarray | None = field(default=None, repr=False)
+    dt_zones: np.ndarray | None = field(default=None, repr=False)
+
+
+@dataclass(eq=False)
+class ZoneSubset:
+    """A zone subset prepared once for `ForceEngine.compute_subset`.
+
+    Everything that depends only on the zone ids is gathered here when
+    the subset is prepared: the kinematic and L2 gather rows, the rows
+    of the conserved pointwise mass, and the slice of a per-zone-gamma
+    EOS. The private `workspace` (on the engine's arena) leases its
+    buffers on the first evaluation, so later evaluations of the same
+    subset allocate nothing.
+    """
+
+    zones: np.ndarray    # (n,) zone ids
+    ldof: np.ndarray     # (n, ndof_h1_zone) kinematic gather rows
+    ldof_l2: np.ndarray  # (n, ndof_l2_zone) thermodynamic gather rows
+    mass_qp: np.ndarray  # (n, nqp) rho0 |J0| rows
+    eos: object
+    workspace: Workspace
 
 
 class ForceEngine:
@@ -111,12 +139,13 @@ class ForceEngine:
         pointwise mass rho0 |J0|).
     viscosity : tensor artificial viscosity coefficients.
     fused : select the zero-allocation workspace path (default) or the
-        historical allocate-per-call path.
+        historical allocate-per-call path for the full-batch `compute`;
+        zone subsets (`compute_subset`) always take the fused stages.
     workspace : buffer pool to use for the fused path (a private one is
-        created when omitted).
+        created when omitted); subset workspaces share its arena.
     tracer : optional enabled `repro.telemetry.Tracer`; when given, the
-        fused path emits one "kernel"-category span per Table 2 stage
-        (geometry / pointwise stress / fused contraction).
+        full-batch fused path emits one "kernel"-category span per
+        Table 2 stage (geometry / pointwise stress / fused contraction).
     """
 
     def __init__(
@@ -170,11 +199,9 @@ class ForceEngine:
         self._geo_cache: list[tuple[object, GeometryAtPoints] | None] = [None, None]
         self._geo_mru = 0
         self._fz_slot = 0
-        # Per-span workspaces / sliced EOS for `compute_fused_span`,
-        # keyed by (lo, hi) so repeated evaluations of the same zone
-        # span are allocation-free after the first call.
-        self._span_ws: dict[tuple[int, int], Workspace] = {}
-        self._span_eos: dict[tuple[int, int], object] = {}
+        # Live subsets from `prepare_subset`, so solver retirement can
+        # return their workspace leases (`release_subset` drops one).
+        self.subsets: list[ZoneSubset] = []
         # Contraction paths planned once for the fixed batch shapes
         # (np.broadcast_to gives shape-only stand-ins, no memory).
 
@@ -222,26 +249,42 @@ class ForceEngine:
                 self._geo_mru = slot
                 return entry[1]
         slot = 1 - self._geo_mru
-        ws = self.workspace
-        nz, ndz, dim, _ = self._fz_shape
-        nqp = self.quad.nqp
-        xz = ws.get("xz", (nz, ndz, dim))
-        np.take(x, self._ldof, axis=0, out=xz)
-        jac = ws.get(f"geo{slot}.jac", (nz, nqp, dim, dim))
-        np.einsum("zid,kie->zkde", xz, self.grad_table, out=jac, optimize=self._path_jac)
-        det = ws.get(f"geo{slot}.det", (nz, nqp))
-        batched_det(jac, out=det)
-        adj = ws.get(f"geo{slot}.adj", (nz, nqp, dim, dim))
-        batched_adjugate(jac, out=adj)
-        geo = GeometryAtPoints(jac, det=det, adj=adj)
-        if geo.check_valid():
-            inv = ws.get(f"geo{slot}.inv", (nz, nqp, dim, dim))
-            np.divide(adj, det[..., None, None], out=inv)
-            geo.set_inv(inv)
+        geo = self._zone_geometry(self.workspace, x, self._ldof, f"geo{slot}.")
         geo.freeze()
         self._geo_cache[slot] = (x, geo)
         self._geo_mru = slot
         return geo
+
+    def _zone_geometry(
+        self, ws: Workspace, x: np.ndarray, ldof: np.ndarray, prefix: str
+    ) -> GeometryAtPoints:
+        """Kernels 1/3 for the zones whose gather rows are `ldof`.
+
+        Writes the gathered coordinates, Jacobians, determinants,
+        adjugates and (for untangled zones) inverses into `ws` buffers,
+        the geometry arrays under names starting with `prefix`.
+        """
+        n, ndz = ldof.shape
+        dim = self.kinematic.dim
+        nqp = self.quad.nqp
+        xz = ws.get("xz", (n, ndz, dim))
+        np.take(x, ldof, axis=0, out=xz)
+        jac = ws.get(f"{prefix}jac", (n, nqp, dim, dim))
+        self._jacobians(xz, jac)
+        det = ws.get(f"{prefix}det", (n, nqp))
+        batched_det(jac, out=det)
+        adj = ws.get(f"{prefix}adj", (n, nqp, dim, dim))
+        batched_adjugate(jac, out=adj)
+        geo = GeometryAtPoints(jac, det=det, adj=adj)
+        if geo.check_valid():
+            inv = ws.get(f"{prefix}inv", (n, nqp, dim, dim))
+            np.divide(adj, det[..., None, None], out=inv)
+            geo.set_inv(inv)
+        return geo
+
+    def _jacobians(self, xz: np.ndarray, jac: np.ndarray) -> None:
+        """Kernel 1: jac[z,k,d,e] = sum_i xz[z,i,d] gradW[k,i,e]."""
+        np.einsum("zid,kie->zkde", xz, self.grad_table, out=jac, optimize=self._path_jac)
 
     def velocity_gradient(self, v: np.ndarray, geo: GeometryAtPoints) -> np.ndarray:
         """Kernel 3: physical velocity gradient at all points.
@@ -326,57 +369,25 @@ class ForceEngine:
         """CFL-limited time step from per-point wave speeds."""
         return float(self._dt_points(points, geo).min())
 
-    def estimate_dt_zones(self, points: PointData, geo: GeometryAtPoints) -> np.ndarray:
-        """Per-zone CFL minima, (nzones,).
-
-        The vectorized rank layer reduces these over a rank axis to get
-        every simulated rank's local dt in one pass; min is exactly
-        associative, so the global min over rank minima is bitwise the
-        same float `estimate_dt` returns.
-        """
-        return self._dt_points(points, geo).min(axis=1)
-
-    def compute_local(self, state: HydroState, zone_ids: np.ndarray) -> ForceResult:
-        """Corner-force evaluation restricted to a zone subset.
-
-        The rank-local computation of the paper's MPI layer: every
-        quantity is per-zone independent, so a rank evaluates exactly
-        its own zones' F_z (returned with leading dimension
-        len(zone_ids)) plus the *local* dt estimate that feeds the
-        global min reduction.
-        """
-        zone_ids = np.asarray(zone_ids, dtype=np.int64)
-        xz = self.kinematic.gather(state.x)[zone_ids]
-        geo = self.geom_eval.evaluate_local(xz)
-        nloc = zone_ids.size
-        if nloc == 0 or not geo.check_valid():
-            empty = np.zeros(
-                (nloc, self.kinematic.ndof_per_zone, self.kinematic.dim,
-                 self.thermodynamic.ndof_per_zone)
-            )
-            return ForceResult(empty, geo, None, 0.0, valid=nloc == 0)
-        vz = self.kinematic.gather(state.v)[zone_ids]
-        ez = self.thermodynamic.gather(state.e)[zone_ids]
-        rho = self.mass_qp[zone_ids] / geo.det
-        e_qp = np.einsum("kj,zj->zk", self.basis_l2, ez, optimize=True)
-        eos = self._eos_for_zones(zone_ids)
-        p = eos.pressure(rho, e_qp)
-        cs = eos.sound_speed(rho, e_qp)
-        ref_grad = np.einsum("zid,kir->zkdr", vz, self.grad_table, optimize=True)
-        grad_v = (
-            np.einsum("zkdr,zkre->zkde", ref_grad, geo.adj, optimize=True)
-            / geo.det[..., None, None]
+    def prepare_subset(self, zone_ids) -> ZoneSubset:
+        """Prepare a zone subset for `compute_subset`; the engine keeps
+        it (`subsets`) until `release_subset`."""
+        zones = np.asarray(zone_ids, dtype=np.int64).reshape(-1)
+        subset = ZoneSubset(
+            zones=zones,
+            ldof=self._ldof[zones],
+            ldof_l2=self.thermodynamic.ldof[zones],
+            mass_qp=self.mass_qp[zones],
+            eos=self._eos_for_zones(zones),
+            workspace=Workspace(arena=self.workspace.arena),
         )
-        sigma_visc, mu_max = tensor_viscosity(
-            grad_v, geo.jac, rho, cs, self.order, self.viscosity
-        )
-        dim = geo.jac.shape[-1]
-        sigma = sigma_visc - p[..., None, None] * np.eye(dim)
-        points = PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
-        Az = self.assemble_Az(points, geo)
-        Fz = self.assemble_Fz(Az)
-        dt_est = self.estimate_dt(points, geo)
-        return ForceResult(Fz, geo, points, dt_est, valid=True)
+        self.subsets.append(subset)
+        return subset
+
+    def release_subset(self, subset: ZoneSubset) -> None:
+        """Return a subset's workspace leases to the arena and drop it."""
+        subset.workspace.close()
+        self.subsets.remove(subset)
 
     def _eos_for_zones(self, zone_ids: np.ndarray):
         """Slice a per-zone-gamma EOS down to a zone subset."""
@@ -386,104 +397,38 @@ class ForceEngine:
         g = np.asarray(gamma).reshape(self.kinematic.mesh.nzones, -1)
         return type(self.eos)(g[zone_ids])
 
-    def _eos_for_span(self, lo: int, hi: int):
-        """Span-sliced view of a per-zone-gamma EOS, cached per span."""
-        gamma = getattr(self.eos, "gamma", None)
-        if gamma is None or np.ndim(gamma) == 0:
-            return self.eos
-        eos = self._span_eos.get((lo, hi))
-        if eos is None:
-            g = np.asarray(gamma).reshape(self.kinematic.mesh.nzones, -1)
-            eos = self._span_eos[(lo, hi)] = type(self.eos)(g[lo:hi])
-        return eos
+    def compute_subset(self, state: HydroState, subset: ZoneSubset) -> ForceResult:
+        """Fused corner-force evaluation of a prepared zone subset.
 
-    def prepare_spans(self, spans) -> None:
-        """Pre-create span workspaces on the shared arena.
+        The per-zone arithmetic is `_compute_fused`'s (the same stages
+        and construction-time `einsum_path`s) on the subset's gathered
+        rows, and every contraction reduces within a zone: the subset of
+        every zone in order gives the bits of the fused `compute`, and a
+        fixed partition gives the same bits however its subsets are
+        scheduled.
+        Other subsets agree with the full-batch rows up to the final
+        contraction's BLAS blocking (~1e-18 absolute).
 
-        Called by the zone-parallel executor *before* forking workers, so
-        every span's buffers are leased (and cache-warmed) in the parent
-        and the children inherit them copy-on-write instead of each
-        paying first-call allocation.
+        `Fz` (leading dimension len(zones)), geometry and points live in
+        the subset's workspace until its next evaluation; `dt_zones`
+        holds the per-zone CFL minima of the one `_dt_points` pass. An
+        empty subset gives a valid zero-row result with dt_est = inf.
         """
-        for lo, hi in spans:
-            if (lo, hi) not in self._span_ws:
-                self._span_ws[(lo, hi)] = Workspace(arena=self.workspace.arena)
-
-    def compute_fused_span(self, state: HydroState, lo: int, hi: int) -> ForceResult:
-        """Fused evaluation restricted to the contiguous zone span [lo, hi).
-
-        The per-zone arithmetic is exactly `_compute_fused`'s: the same
-        contractions over the same construction-time `einsum_path`s,
-        applied to a row slice of each batched operand. Every contraction
-        reduces within a zone (never across zones), so the result is
-        *schedule-deterministic*: a fixed partition of the mesh into
-        spans always produces the same bits, no matter how the spans are
-        distributed over workers — the invariant the zone-parallel
-        executor's bitwise tests rest on. The trivial span (0, nzones)
-        is bitwise identical to `compute`. Sub-spans agree with the
-        full-batch rows to the final contraction's BLAS blocking (the
-        batch extent steers dgemm's accumulation order), in practice a
-        ~1e-18 absolute reordering — far inside the engine's 1e-13
-        parity budget.
-
-        Each distinct span keeps a private `Workspace`, so steady-state
-        evaluations allocate nothing and never thrash the full-batch
-        buffers.
-        """
-        nz, ndz, dim, ndl2 = self._fz_shape
-        if not (0 <= lo <= hi <= nz):
-            raise ValueError(f"span [{lo}, {hi}) out of range for {nz} zones")
-        nspan = hi - lo
-        if nspan == 0:
-            geo = GeometryAtPoints(np.zeros((0, self.quad.nqp, dim, dim)))
-            return ForceResult(np.zeros((0, ndz, dim, ndl2)), geo, None, 0.0, valid=True)
-        ws = self._span_ws.get((lo, hi))
-        if ws is None:
-            ws = self._span_ws[(lo, hi)] = Workspace(arena=self.workspace.arena)
-        nqp = self.quad.nqp
-        xz = ws.get("xz", (nspan, ndz, dim))
-        np.take(state.x, self._ldof[lo:hi], axis=0, out=xz)
-        jac = ws.get("jac", (nspan, nqp, dim, dim))
-        np.einsum("zid,kie->zkde", xz, self.grad_table, out=jac, optimize=self._path_jac)
-        det = ws.get("det", (nspan, nqp))
-        batched_det(jac, out=det)
-        adj = ws.get("adj", (nspan, nqp, dim, dim))
-        batched_adjugate(jac, out=adj)
-        geo = GeometryAtPoints(jac, det=det, adj=adj)
+        n = subset.zones.size
+        _, ndz, dim, ndl2 = self._fz_shape
+        ws = subset.workspace
+        geo = self._zone_geometry(ws, state.x, subset.ldof, "")
         if not geo.check_valid():
-            return ForceResult(
-                np.zeros((nspan, ndz, dim, ndl2)), geo, None, 0.0, valid=False
-            )
-        inv = ws.get("inv", (nspan, nqp, dim, dim))
-        np.divide(adj, det[..., None, None], out=inv)
-        geo.set_inv(inv)
-        rho = ws.get("rho", (nspan, nqp))
-        np.divide(self.mass_qp[lo:hi], det, out=rho)
-        ez = self.thermodynamic.gather(state.e)[lo:hi]
-        e_qp = ws.get("e_qp", (nspan, nqp))
-        np.matmul(ez, self.basis_l2_T, out=e_qp)
-        eos = self._eos_for_span(lo, hi)
-        p = eos.pressure(rho, e_qp)
-        cs = eos.sound_speed(rho, e_qp)
-        vz = ws.get("vz", (nspan, ndz, dim))
-        np.take(state.v, self._ldof[lo:hi], axis=0, out=vz)
-        grad_v = ws.get("grad_v", (nspan, nqp, dim, dim))
-        np.einsum(
-            "zid,kir,zkre->zkde", vz, self.grad_table, inv,
-            out=grad_v, optimize=self._path_gv,
+            return ForceResult(np.zeros((n, ndz, dim, ndl2)), geo, None, 0.0, valid=False)
+        ez = ws.get("ez", (n, ndl2))
+        np.take(state.e, subset.ldof_l2, axis=0, out=ez)
+        Fz, points = self._fused_stages(
+            ws, geo, state.v, subset.ldof, ez, subset.mass_qp, subset.eos, "Fz", None
         )
-        sigma, mu_max = self._visc_kernel.compute(grad_v, geo, rho, cs, ws)
-        for d in range(dim):
-            sigma[..., d, d] -= p
-        Fz = ws.get("Fz", (nspan, ndz, dim, ndl2))
-        np.einsum(
-            "zkde,zkre,kir,k,jk->zidj",
-            sigma, geo.adj, self.grad_table, self.quad.weights, self.B,
-            out=Fz, optimize=self._path_fz,
-        )
-        points = PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
-        dt_est = self.estimate_dt(points, geo)
-        return ForceResult(Fz, geo, points, dt_est, valid=True)
+        dt_zones = ws.get("dt_zones", (n,))
+        np.min(self._dt_points(points, geo), axis=1, out=dt_zones)
+        return ForceResult(Fz, geo, points, float(dt_zones.min(initial=np.inf)),
+                           valid=True, dt_zones=dt_zones)
 
     def compute(self, state: HydroState, keep_az: bool = False) -> ForceResult:
         """Full corner-force evaluation at the given state.
@@ -497,9 +442,15 @@ class ForceEngine:
             return self._compute_fused(state)
         return self._compute_legacy(state, keep_az)
 
-    def _compute_fused(self, state: HydroState) -> ForceResult:
-        """Workspace-backed evaluation: planned contractions, no
-        steady-state allocations, single fused F_z einsum.
+    def _fused_stages(
+        self, ws: Workspace, geo: GeometryAtPoints, v: np.ndarray, ldof: np.ndarray,
+        ez: np.ndarray, mass_qp: np.ndarray, eos, fz_name: str, tr,
+    ) -> tuple[np.ndarray, PointData]:
+        """Kernels 2/4 and the fused kernel 5/6/7 contraction into the
+        `ws` buffer `fz_name`, shared by the full batch and zone subsets:
+        `ldof`, `ez`, `mass_qp` and `eos` are the zones' velocity gather
+        rows, L2 energy coefficients, pointwise mass and EOS; `tr` gets
+        one kernel span per stage (None: no spans).
 
         F_z[z,i,d,j] = sum_k alpha_k B[j,k] sum_e sigma[z,k,d,e]
                         sum_r gradW[k,i,r] adj(J)[z,k,r,e]
@@ -508,8 +459,38 @@ class ForceEngine:
         register-blocked kernel fusion (intermediates never touch
         "off-chip" memory, i.e. fresh heap arrays).
         """
-        ws = self.workspace
-        nz, ndz, dim, ndl2 = self._fz_shape
+        n, nqp = geo.det.shape
+        ndz, dim = ldof.shape[1], self.kinematic.dim
+        with tr.span(_K_STRESS, category="kernel") if tr else NULL_SPAN:
+            rho = ws.get("rho", (n, nqp))
+            np.divide(mass_qp, geo.det, out=rho)
+            e_qp = ws.get("e_qp", (n, nqp))
+            np.matmul(ez, self.basis_l2_T, out=e_qp)
+            p = eos.pressure(rho, e_qp)
+            cs = eos.sound_speed(rho, e_qp)
+            vz = ws.get("vz", (n, ndz, dim))
+            np.take(v, ldof, axis=0, out=vz)
+            grad_v = ws.get("grad_v", (n, nqp, dim, dim))
+            np.einsum(
+                "zid,kir,zkre->zkde", vz, self.grad_table, geo.inv,
+                out=grad_v, optimize=self._path_gv,
+            )
+            sigma, mu_max = self._visc_kernel.compute(grad_v, geo, rho, cs, ws)
+            for d in range(dim):
+                sigma[..., d, d] -= p
+        Fz = ws.get(fz_name, (n,) + self._fz_shape[1:])
+        with tr.span(_K_FORCE, category="kernel") if tr else NULL_SPAN:
+            np.einsum(
+                "zkde,zkre,kir,k,jk->zidj",
+                sigma, geo.adj, self.grad_table, self.quad.weights, self.B,
+                out=Fz, optimize=self._path_fz,
+            )
+        return Fz, PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
+
+    def _compute_fused(self, state: HydroState) -> ForceResult:
+        """Workspace-backed full-batch evaluation: the per-`x` cached
+        geometry, the fused stages and a double-buffered F_z (the two
+        most recent results stay live across RK2's stages)."""
         tr = self.tracer
         with tr.span(_K_GEOMETRY, category="kernel") if tr else NULL_SPAN:
             geo = self.point_geometry(state.x)
@@ -521,34 +502,13 @@ class ForceEngine:
                 dt_est=0.0,
                 valid=False,
             )
-        with tr.span(_K_STRESS, category="kernel") if tr else NULL_SPAN:
-            rho = ws.get("rho", (nz, self.quad.nqp))
-            np.divide(self.mass_qp, geo.det, out=rho)
-            ez = self.thermodynamic.gather(state.e)  # reshape view, no copy
-            e_qp = ws.get("e_qp", (nz, self.quad.nqp))
-            np.matmul(ez, self.basis_l2_T, out=e_qp)
-            p = self.eos.pressure(rho, e_qp)
-            cs = self.eos.sound_speed(rho, e_qp)
-            vz = ws.get("vz", (nz, ndz, dim))
-            np.take(state.v, self._ldof, axis=0, out=vz)
-            grad_v = ws.get("grad_v", (nz, self.quad.nqp, dim, dim))
-            np.einsum(
-                "zid,kir,zkre->zkde", vz, self.grad_table, geo.inv,
-                out=grad_v, optimize=self._path_gv,
-            )
-            sigma, mu_max = self._visc_kernel.compute(grad_v, geo, rho, cs, ws)
-            for d in range(dim):
-                sigma[..., d, d] -= p
         slot = self._fz_slot
         self._fz_slot = 1 - slot
-        Fz = ws.get(f"Fz{slot}", self._fz_shape)
-        with tr.span(_K_FORCE, category="kernel") if tr else NULL_SPAN:
-            np.einsum(
-                "zkde,zkre,kir,k,jk->zidj",
-                sigma, geo.adj, self.grad_table, self.quad.weights, self.B,
-                out=Fz, optimize=self._path_fz,
-            )
-        points = PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
+        Fz, points = self._fused_stages(
+            self.workspace, geo, state.v, self._ldof,
+            self.thermodynamic.gather(state.e),  # reshape view, no copy
+            self.mass_qp, self.eos, f"Fz{slot}", tr,
+        )
         dt_est = self.estimate_dt(points, geo)
         return ForceResult(Fz, geo, points, dt_est, valid=True)
 
@@ -621,9 +581,11 @@ class SumfactForceEngine(ForceEngine):
     integrator-facing applications are overridden to consume it.
 
     Agrees with the fused engine to contraction-reordering roundoff (the
-    documented parity budget is 1e-10 relative per evaluation); the
-    dense `compute_local` is inherited unchanged, so rank decomposition
-    and the resilience layer compose exactly as with the other engines.
+    documented parity budget is 1e-10 relative per evaluation). The
+    geometry cache and the fused `compute_subset` are inherited (over
+    the factorized Jacobians), so under ranks a sumfact node evaluates
+    its ranks' zones through the same subset entry as a `cpu-fused`
+    node, and the resilience layer composes as with the other engines.
     """
 
     sumfact = True
@@ -658,40 +620,11 @@ class SumfactForceEngine(ForceEngine):
 
     # -- kernel-aligned stages, factorized ----------------------------------
 
-    def point_geometry(self, x: np.ndarray) -> GeometryAtPoints:
-        """Kernels 1/3 with factorized Jacobians.
-
-        jac[z,k,d,:] is the reference gradient of coordinate component d,
-        contracted one 1D axis at a time; caching/freezing semantics are
-        identical to the fused engine's.
-        """
-        for slot in (0, 1):
-            entry = self._geo_cache[slot]
-            if entry is not None and entry[0] is x:
-                self._geo_mru = slot
-                return entry[1]
-        slot = 1 - self._geo_mru
-        ws = self.workspace
-        nz, ndz, dim, _ = self._fz_shape
-        nqp = self.quad.nqp
-        xz = ws.get("xz", (nz, ndz, dim))
-        np.take(x, self._ldof, axis=0, out=xz)
-        jac = ws.get(f"geo{slot}.jac", (nz, nqp, dim, dim))
-        for d in range(dim):
+    def _jacobians(self, xz: np.ndarray, jac: np.ndarray) -> None:
+        """Kernel 1 factorized: jac[z,k,d,:] is the reference gradient of
+        coordinate component d, contracted one 1D axis at a time."""
+        for d in range(xz.shape[-1]):
             self._ops_h1.apply_G(xz[:, :, d], out=jac[:, :, d, :])
-        det = ws.get(f"geo{slot}.det", (nz, nqp))
-        batched_det(jac, out=det)
-        adj = ws.get(f"geo{slot}.adj", (nz, nqp, dim, dim))
-        batched_adjugate(jac, out=adj)
-        geo = GeometryAtPoints(jac, det=det, adj=adj)
-        if geo.check_valid():
-            inv = ws.get(f"geo{slot}.inv", (nz, nqp, dim, dim))
-            np.divide(adj, det[..., None, None], out=inv)
-            geo.set_inv(inv)
-        geo.freeze()
-        self._geo_cache[slot] = (x, geo)
-        self._geo_mru = slot
-        return geo
 
     def compute(self, state: HydroState, keep_az: bool = False) -> ForceResult:
         if keep_az:

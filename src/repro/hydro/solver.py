@@ -106,7 +106,7 @@ class LagrangianHydroSolver:
         self.problem = problem
         self.config = config
         # The pool allocator behind every workspace this solver creates
-        # (engine, span workspaces). A shared arena — e.g. the service
+        # (engine, zone subsets). A shared arena — e.g. the service
         # warm pool's — lets a retired solver's blocks satisfy the next
         # solver's leases even across mesh-size changes.
         self.arena = arena if arena is not None else Arena(name="solver")
@@ -307,17 +307,19 @@ class LagrangianHydroSolver:
     def release_workspaces(self) -> None:
         """Return every engine workspace lease to the arena.
 
-        Only for solver retirement (service warm-pool eviction): the
-        engine's buffers become invalid, but a shared arena can hand the
-        blocks to the next pooled solver. A closed-but-live solver (see
-        `close`) must NOT release — `close` keeps the engine usable.
+        Covers the engine's own workspace and those of its live zone
+        subsets (rank phases, executor chunks). Only for solver
+        retirement (service warm-pool eviction): the engine's buffers
+        become invalid, but a shared arena can hand the blocks to the
+        next pooled solver. A closed-but-live solver (see `close`) must
+        NOT release — `close` keeps the engine usable.
         """
         engine = getattr(self, "engine", None)
         if engine is None:
             return
         engine.workspace.close()
-        for ws in getattr(engine, "_span_ws", {}).values():
-            ws.close()
+        for subset in engine.subsets:
+            subset.workspace.close()
 
     def swap_backend(self, name: str) -> None:
         """Replace the execution backend mid-run (resilience fallback).

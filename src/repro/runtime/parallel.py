@@ -12,11 +12,13 @@ fork — the only per-evaluation costs are three array copies in
 data and never a steady-state allocation.
 
 Partition contract: the default is **one contiguous span per worker**
-(`chunks = workers`), the paper's static OpenMP schedule. With a fused
-engine each span goes through `ForceEngine.compute_fused_span`, and the
-single-worker partition is the full span (0, nzones) — documented
-bitwise-identical to `ForceEngine.compute` — so `workers=1` costs only
-the dispatch syscalls over serial and returns serial's exact bits.
+(`chunks = workers`), the paper's static OpenMP schedule. Each chunk is
+a zone subset prepared once (`ForceEngine.prepare_subset`) and
+evaluated through the engine's fused zone-subset entry
+(`ForceEngine.compute_subset`), and the single-worker partition is the
+subset of every zone in order — documented bitwise-identical to
+`ForceEngine.compute` — so `workers=1` costs only the dispatch
+syscalls over serial and returns serial's exact bits.
 Multi-worker partitions are deterministic for a fixed (nzones, chunks)
 pair; pin `chunks=K` explicitly to make results invariant under the
 worker count (K spans round-robined over however many processes run
@@ -73,10 +75,12 @@ class ZoneParallelExecutor:
         copy-in, worker wake-up, evaluation and the dt reduction.
 
     Lifecycle: `start()` forks the pool (idempotent; `compute` calls it
-    lazily), `close()` shuts it down and releases shared memory. The
-    fork happens *after* `prepare_spans` leased every span workspace on
-    the arena, so children never allocate on the hot path and the pool
-    can serve thousands of evaluations (`stats()` reports how the fork
+    lazily), `close()` shuts it down, releases shared memory and the
+    chunk subsets. The chunk subsets are prepared before the fork, with
+    empty workspaces: each worker leases its chunks' buffers in its own
+    address space on its first evaluation and reuses them from then on,
+    so a worker's steady state allocates nothing and the pool can serve
+    thousands of evaluations (`stats()` reports how the fork
     amortized).
     """
 
@@ -138,12 +142,13 @@ class ZoneParallelExecutor:
         for i in range(len(self.chunk_ids)):
             self._assignment[i % workers].append(i)
 
-        # Lease the per-span workspaces parent-side before forking: the
-        # children inherit the arena-backed buffers copy-on-write, so a
-        # fused worker never allocates on its hot path and the parent's
-        # arena high-water statistic covers the span pool.
-        if engine.fused and hasattr(engine, "prepare_spans"):
-            engine.prepare_spans(self._spans)
+        # Prepare the chunk subsets before forking: the children inherit
+        # their gather rows, mass rows and EOS slices copy-on-write. The
+        # subset workspaces are still empty here; each worker leases its
+        # chunks' buffers on its first evaluation, in its own address
+        # space, so the parent's arena never holds them (only
+        # `compute_chunked`, run in the parent, leases there).
+        self._subsets = [engine.prepare_subset(c) for c in self.chunk_ids]
 
         self._pool = PersistentWorkerPool(
             workers, self._worker_eval, name="zone-parallel"
@@ -165,11 +170,8 @@ class ZoneParallelExecutor:
             self._valid[ci] = 1.0 if res.valid else 0.0
 
     def _compute_chunk(self, state: HydroState, ci: int) -> ForceResult:
-        """One chunk's corner forces: fused span path or legacy subset."""
-        if self.engine.fused:
-            lo, hi = self._spans[ci]
-            return self.engine.compute_fused_span(state, lo, hi)
-        return self.engine.compute_local(state, self.chunk_ids[ci])
+        """One chunk's corner forces, through the engine's subset entry."""
+        return self.engine.compute_subset(state, self._subsets[ci])
 
     # -- parent side --------------------------------------------------------
 
@@ -231,8 +233,8 @@ class ZoneParallelExecutor:
         ULP), proving the multiprocessing layer changes scheduling only,
         never arithmetic. With a fused engine this is additionally
         bitwise equal to `engine.compute` itself when the partition is a
-        single span (the default at workers=1), and within span
-        slice-invariance otherwise.
+        single span (the default at workers=1), and within the subset
+        entry's batch-extent reordering otherwise.
         """
         results = [self._compute_chunk(state, ci) for ci in range(len(self.chunk_ids))]
         Fz = np.concatenate([r.Fz for r in results], axis=0)
@@ -254,6 +256,9 @@ class ZoneParallelExecutor:
             return
         self._closed = True
         self._pool.shutdown()
+        for subset in self._subsets:
+            self.engine.release_subset(subset)
+        self._subsets.clear()
         for seg in self._segments:
             try:
                 seg.close()

@@ -6,9 +6,8 @@ path whose steady-state cost is two tiny `write(2)`/`read(2)` syscalls
 per worker and *zero Python-level allocation*:
 
 - **Fork once.** Workers are forked at `start()`; everything big (the
-  force engine, mesh, arena-backed span workspaces, shared-memory
-  segments) is inherited copy-on-write. Nothing mesh-sized ever crosses
-  a pipe.
+  force engine, mesh, prepared zone subsets, shared-memory segments) is
+  inherited copy-on-write. Nothing mesh-sized ever crosses a pipe.
 - **Pickle-free command channel.** Each worker owns an `os.pipe`; the
   parent wakes it by writing one fixed 16-byte packet
   (`struct.Struct("<iid")` = opcode, slot, time) packed with

@@ -19,7 +19,7 @@ from repro import (
     SodProblem,
     TriplePointProblem,
 )
-from repro.api import RunConfig, run
+from repro.api import RunConfig, make_problem, run
 from repro.backends import DistributedBackend
 from repro.backends.distributed import VectorizedDistributedMomentumSolver
 from repro.errors import ConfigError
@@ -37,7 +37,7 @@ class TestCompositionMatrix:
     """`ranks` composes with every node backend (the tentpole)."""
 
     @pytest.mark.parametrize(
-        "backend", ["cpu-serial", "cpu-fused", "cpu-parallel", "hybrid"]
+        "backend", ["cpu-serial", "cpu-fused", "cpu-sumfact", "cpu-parallel", "hybrid"]
     )
     def test_smoke_every_node_backend_matches_serial(self, backend):
         cfg = dict(zones=5, max_steps=8)
@@ -293,19 +293,85 @@ class TestDistributedMechanics:
                 backend=DistributedBackend(2, zone_rank=np.zeros(3, dtype=int)),
             )
 
-    def test_compute_local_matches_global(self):
-        """Slicing zones out of the global computation is exact."""
+    def test_smoke_subset_matches_global(self):
+        """A rank's zone subset gives the full batch's rows of F_z and of
+        the per-zone dt; the subset of every zone gives its exact bits."""
         solver = make_solver(nranks=2)
-        full = solver.engine.compute(solver.state)
+        solver.run(t_final=1.0, max_steps=3)  # moving mesh, viscosity on
+        engine, state = solver.engine, solver.state
+        full = engine.compute(state)
+        Fz = full.Fz.copy()
+        dt_zones = engine._dt_points(full.points, full.geometry).min(axis=1)
         for rank in solver.backend.ranks:
-            local = solver.engine.compute_local(solver.state, rank.zones)
-            assert np.allclose(local.Fz, full.Fz[rank.zones], atol=1e-14)
+            local = engine.compute_subset(state, engine.prepare_subset(rank.zones))
+            assert np.allclose(local.Fz, Fz[rank.zones], atol=1e-14)
+            assert np.allclose(local.dt_zones, dt_zones[rank.zones], atol=1e-14)
+        every = engine.prepare_subset(np.arange(solver.problem.mesh.nzones))
+        res = engine.compute_subset(state, every)
+        np.testing.assert_array_equal(res.Fz, Fz)
+        assert res.dt_est == full.dt_est
 
-    def test_compute_local_empty_subset(self):
+    def test_smoke_subset_empty(self):
+        """An empty subset is a valid zero-row result; a 1-rank run (no
+        interface zones) evaluates its empty interface phase."""
         solver = make_solver(nranks=2)
-        res = solver.engine.compute_local(solver.state, np.array([], dtype=int))
-        assert res.Fz.shape[0] == 0
+        engine = solver.engine
+        res = engine.compute_subset(solver.state, engine.prepare_subset([]))
         assert res.valid
+        assert res.Fz.shape[0] == 0 and res.dt_zones.shape == (0,)
+        one = make_solver(nranks=1)
+        assert one.backend._vec_plan.ifz.size == 0
+        dist = one.integrator.force_fn(one.state)
+        assert dist.valid
+        assert dist.dt_est == one.engine.compute(one.state).dt_est
+
+    def test_smoke_dt_once_per_phase(self, monkeypatch):
+        """Each phase's result carries its per-zone dt minima: one CFL
+        pass (`_dt_points`) per phase, two per evaluation."""
+        solver = make_solver(nranks=4)
+        engine = solver.engine
+        calls = []
+        dt_points = engine._dt_points
+
+        def counted(points, geo):
+            calls.append(points)
+            return dt_points(points, geo)
+
+        monkeypatch.setattr(engine, "_dt_points", counted)
+        for _ in range(3):
+            solver.backend._compute(solver.state)
+        assert len(calls) == 6
+
+    def test_smoke_subset_workspaces_do_not_leak(self):
+        """Repartitions release the old partition's subsets: live arena
+        leases stay flat over run/reset cycles with elastic resizes, and
+        `release_workspaces` returns every one of them."""
+        solver = make_solver(nranks=4, zones=6, rank_schedule="3:8,6:2")
+        live = []
+        for cycle in range(3):
+            if cycle:
+                solver.reset()
+            solver.run(t_final=1.0, max_steps=8)
+            assert [h["nranks"] for h in solver.backend.rank_history] == [8, 2]
+            live.append(solver.arena.stats()["live_leases"])
+        assert live == [live[0]] * 3
+        assert len(solver.engine.subsets) == 2
+        solver.release_workspaces()
+        assert solver.arena.stats()["live_leases"] == 0
+
+    def test_smoke_subset_steady_state_buffer_ids_stable(self):
+        """After warm-up the rank phases' subset workspaces are reused:
+        no new buffers, no misses."""
+        cfg = RunConfig(zones=6, order=2, ranks=8)
+        solver = LagrangianHydroSolver(make_problem("triple-pt", cfg), cfg)
+        solver.run(t_final=10.0, max_steps=2)
+        subsets = list(solver.engine.subsets)
+        ids = [s.workspace.buffer_ids() for s in subsets]
+        misses = [s.workspace.misses for s in subsets]
+        solver.run(t_final=10.0, max_steps=4)
+        assert solver.engine.subsets == subsets
+        assert [s.workspace.buffer_ids() for s in subsets] == ids
+        assert [s.workspace.misses for s in subsets] == misses
 
     def test_swap_node_degrades_one_rank(self):
         solver = make_solver(nranks=2, backend="hybrid")

@@ -94,3 +94,21 @@ def test_csr_and_action_take_the_same_iterations(name, cfg):
     # Each PCG solution moves within its tolerance with the summation
     # order, and the Sedov blast amplifies that (to ~1e-9 in 20 steps).
     assert np.allclose(v, ref_v, rtol=0, atol=1e-8 * np.abs(ref_v).max())
+
+
+def test_solve_flops_count_the_action_arithmetic(rng):
+    """`MomentumSolveInfo.flops` prices each apply at the action's own
+    two GEMMs plus the scaling, not at the CSR SpMV's 2 nnz."""
+    with build("sedov", order=2, zones=12) as solver:
+        momentum = solver.momentum
+        nz, nqp, ndz = 144, 16, 9
+        assert momentum.flops_per_apply == 4 * nz * ndz * nqp + nz * nqp == 85_248
+        momentum.solve(rng.standard_normal((solver.kinematic.ndof, 2)))
+        info = momentum.last_info
+        vector_flops = info.flops - info.spmv_count * 85_248
+        assert 0 < vector_flops < info.spmv_count * 20 * solver.kinematic.ndof
+    with build("triple-pt", order=2, zones=6, ranks=8) as solver:
+        n_ifz = solver.momentum.plan.ldof_ifz.shape[0]
+        assert n_ifz == 48
+        assert (solver.momentum.flops_per_apply
+                == solver.mass_v_action.flops_per_apply + 2 * n_ifz * 9 * 9)
