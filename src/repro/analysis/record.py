@@ -13,9 +13,9 @@ with the same hardening the rest of the repo's durable artifacts get:
   helper warns and starts a fresh history rather than crashing the
   benchmark that produced a perfectly good new record;
 * every record is stamped with provenance — the record schema version,
-  the git commit it ran at, and a host fingerprint — so a number in a
-  shared history can always be traced back to the code and machine
-  that produced it.
+  the git commit it ran at ("-dirty" when tracked files had uncommitted
+  changes), and a host fingerprint — so a number in a shared history
+  can always be traced back to the code and machine that produced it.
 """
 
 from __future__ import annotations
@@ -38,18 +38,24 @@ BENCH_SCHEMA_VERSION = 2
 
 
 @functools.lru_cache(maxsize=1)
-def _git_commit() -> str:
-    """Short commit hash of the working tree, or "unknown" outside git."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
+def _git_commit(cwd: str | Path | None = None) -> str:
+    """Short commit hash of the working tree at `cwd` (default: this
+    source tree), suffixed "-dirty" when tracked files have uncommitted
+    changes, or "unknown" outside git."""
+    cwd = Path(__file__).resolve().parent if cwd is None else Path(cwd)
+
+    def git(*args: str) -> str | None:
+        try:
+            out = subprocess.run(["git", *args], cwd=cwd, capture_output=True,
+                                 text=True, timeout=10)
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    commit = git("rev-parse", "--short", "HEAD")
+    if not commit:
         return "unknown"
-    commit = out.stdout.strip()
-    return commit if out.returncode == 0 and commit else "unknown"
+    return commit + "-dirty" if git("status", "--porcelain", "--untracked-files=no") else commit
 
 
 @functools.lru_cache(maxsize=1)

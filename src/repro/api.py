@@ -10,8 +10,8 @@ all read one frozen `RunConfig`; this module composes them:
     print(report.manifest.summary())
 
 `run` builds one `LagrangianHydroSolver(problem, config)` — its
-execution backend (`backend="cpu-serial" | "cpu-fused" | "cpu-sumfact"
-| "cpu-parallel" | "hybrid"`, or `workers` > 0 for cpu-parallel),
+execution backend (`backend="cpu-fused" | "cpu-sumfact" |
+"cpu-parallel" | "hybrid"`, or `workers` > 0 for cpu-parallel),
 wrapped in the distributed backend when `ranks` > 0 — runs the in-band
 tuning scheduler for hybrid runs, wraps the run in the
 `ResilientDriver` when resilience knobs are set

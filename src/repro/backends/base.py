@@ -9,24 +9,24 @@ flavour, whether a worker pool runs it, whether a simulated device
 prices it) behind a uniform four-method surface, selected by one
 `RunConfig.backend` string.
 
-Physics contract: every backend computes the corner force with the same
-NumPy arithmetic. `cpu-fused` and `hybrid` share the identical
-full-batch fused evaluation and are *bitwise* equal; `cpu-parallel`
-uses the worker-independent span partition and is bitwise invariant
-under the worker count (and within a few ULP of the fused batch — the
-final contraction's BLAS accumulation order depends on the batch
-extent); `cpu-serial` is the independently-written staged reference
-(~1e-15 relative). Tests pin all of this down with state hashes.
+Physics contract: every backend computes the corner force with the one
+`ForceEngine`'s fused arithmetic. `cpu-fused` and `hybrid` share the
+identical full-batch evaluation and are *bitwise* equal; `cpu-parallel`
+with pinned `chunks` is bitwise invariant under the worker count (and
+within a few ULP of the full batch — the final contraction's BLAS
+accumulation order depends on the batch extent); `cpu-sumfact` agrees
+to contraction-reordering roundoff (1e-10 budget). The independent
+reference is `repro.hydro.corner_force.corner_force_loops`. Tests pin
+all of this down with state hashes.
 """
 
 from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-__all__ = ["ExecutionBackend", "BACKEND_NAMES", "make_backend"]
+from repro.config import BACKEND_NAMES
 
-#: The five execution policies, in the order the README matrix lists them.
-BACKEND_NAMES = ("cpu-serial", "cpu-fused", "cpu-sumfact", "cpu-parallel", "hybrid")
+__all__ = ["ExecutionBackend", "BACKEND_NAMES", "make_backend"]
 
 
 @runtime_checkable
@@ -69,20 +69,12 @@ def make_backend(name: str, **kwargs) -> "ExecutionBackend":
     cpu-parallel; `device=` / `cpu=` / `ratio=` for hybrid) — unknown
     names raise with the valid list, mirroring `RunConfig` validation.
     """
-    from repro.backends.cpu import (
-        CpuFusedBackend,
-        CpuParallelBackend,
-        CpuSerialBackend,
-        CpuSumfactBackend,
-    )
+    from repro.backends.cpu import CpuFusedBackend, CpuParallelBackend, CpuSumfactBackend
     from repro.backends.hybrid import HybridBackend
 
     registry = {
-        "cpu-serial": CpuSerialBackend,
-        "cpu-fused": CpuFusedBackend,
-        "cpu-sumfact": CpuSumfactBackend,
-        "cpu-parallel": CpuParallelBackend,
-        "hybrid": HybridBackend,
+        cls.name: cls
+        for cls in (CpuFusedBackend, CpuSumfactBackend, CpuParallelBackend, HybridBackend)
     }
     try:
         cls = registry[name]

@@ -1,8 +1,8 @@
 """The three CPU execution backends.
 
-`CpuSerialBackend` and `CpuFusedBackend` differ only in which
-`ForceEngine` flavour they build (the staged reference arithmetic vs.
-the zero-allocation fused pipeline); `CpuParallelBackend` puts the
+`CpuFusedBackend` and `CpuSumfactBackend` differ only in which
+`ForceEngine` flavour they build (the dense fused pipeline vs. its
+matrix-free sum-factorized subclass); `CpuParallelBackend` puts the
 fused engine behind the shared-memory `ZoneParallelExecutor` — the
 repro's stand-in for the paper's OpenMP zone loop.
 
@@ -18,7 +18,6 @@ per phase, whichever engine flavour the node built.
 from __future__ import annotations
 
 __all__ = [
-    "CpuSerialBackend",
     "CpuFusedBackend",
     "CpuSumfactBackend",
     "CpuParallelBackend",
@@ -29,7 +28,6 @@ class _EngineBackend:
     """Shared attach/close plumbing for the in-process engines."""
 
     name = "?"
-    fused = True
     sumfact = False
 
     def __init__(self):
@@ -49,7 +47,7 @@ class _EngineBackend:
         if self.engine is not None:
             raise RuntimeError(f"backend '{self.name}' is already attached")
         self.solver = solver
-        self.engine = solver._make_engine(fused=self.fused, sumfact=self.sumfact)
+        self.engine = solver._make_engine(sumfact=self.sumfact)
         self._post_attach()
 
     def _post_attach(self) -> None:
@@ -84,23 +82,10 @@ class _EngineBackend:
         return {"backend": self.name}
 
 
-class CpuSerialBackend(_EngineBackend):
-    """The legacy allocate-per-call engine: the correctness reference.
-
-    Its staged arithmetic is written independently of the fused
-    pipeline, so agreement between this backend and the others (a few
-    ULP on tier-1 problems) is evidence, not tautology.
-    """
-
-    name = "cpu-serial"
-    fused = False
-
-
 class CpuFusedBackend(_EngineBackend):
     """The fused zero-allocation hot path, single process (the default)."""
 
     name = "cpu-fused"
-    fused = True
 
 
 class CpuSumfactBackend(_EngineBackend):
@@ -117,7 +102,6 @@ class CpuSumfactBackend(_EngineBackend):
     """
 
     name = "cpu-sumfact"
-    fused = True
     sumfact = True
 
     def describe(self) -> dict:
@@ -135,7 +119,6 @@ class CpuParallelBackend(_EngineBackend):
     """
 
     name = "cpu-parallel"
-    fused = True
 
     def __init__(self, workers: int | None = None, chunks: int | None = None):
         super().__init__()

@@ -4,9 +4,9 @@ The paper's Section 3.4 claim is that the MPI level and the CPU/GPU
 corner-force level are independent, composable layers. This module is
 that composition for the repro: `RunConfig(ranks=N, backend=<any>)`
 builds one ordinary `LagrangianHydroSolver` whose backend is a
-`DistributedBackend` holding one *node* backend (cpu-serial /
-cpu-fused / cpu-sumfact / cpu-parallel / hybrid) that evaluates every
-rank's zones. The solver's time loop, integrator, telemetry and
+`DistributedBackend` holding one *node* backend (cpu-fused /
+cpu-sumfact / cpu-parallel / hybrid) that evaluates every rank's
+zones. The solver's time loop, integrator, telemetry and
 resilience hooks are all the standard ones — the distributed layer only
 changes how the corner force is evaluated and how the mass operator is
 applied, and it does both with stacked array operations over the rank
@@ -166,9 +166,9 @@ class DistributedBackend:
     ----------
     nranks : simulated ranks (>= 1).
     node : registry name of the node backend that evaluates every
-        rank's zones ("cpu-serial" / "cpu-fused" / "cpu-sumfact" /
-        "cpu-parallel" / "hybrid"). It runs in-process: under ranks the
-        rank is the parallel unit, so a cpu-parallel node starts no pool.
+        rank's zones ("cpu-fused" / "cpu-sumfact" / "cpu-parallel" /
+        "hybrid"). It runs in-process: under ranks the rank is the
+        parallel unit, so a cpu-parallel node starts no pool.
         Whatever its flavour, its engine evaluates the ranks' zones
         through the fused zone-subset entry.
     node_kwargs : forwarded to the node backend's constructor.
@@ -503,7 +503,7 @@ class DistributedBackend:
         from repro.backends.base import make_backend
 
         nb = make_backend(name)
-        if (nb.fused, nb.sumfact) != (self.node.fused, self.node.sumfact):
+        if nb.sumfact != self.node.sumfact:
             raise ValueError(
                 f"cannot swap rank {rank} to '{name}': its engine flavour "
                 f"differs from the '{self.node_name}' node's"

@@ -18,9 +18,11 @@ from repro.kernels.registry import KernelSelection, corner_force_costs
 
 __all__ = ["HybridBackend"]
 
-#: Host-side corner-force slowdown of the legacy (unfused) engine
-#: relative to the fused hot path — the ratio the PR-2 benchmarks
-#: measured between `cpu-serial` and `cpu-fused` assembly.
+#: Host-side corner-force slowdown of the unfused, allocate-per-call
+#: staging relative to the fused hot path, priced for the tuner's
+#: modelled "legacy" fusion choice (no engine runs it any more). The
+#: first `BENCH_hotpath.json` record (2026-08-06T04:02:45, 144 zones)
+#: measured that staging at 1.57x (Q2) and 1.91x (Q4) the fused time.
 LEGACY_FUSION_FACTOR = 1.75
 
 #: Zone-chunking U-curve for the host workers: tiny chunks pay
@@ -44,7 +46,6 @@ class HybridBackend(_EngineBackend):
     """
 
     name = "hybrid"
-    fused = True
 
     def __init__(
         self,

@@ -12,9 +12,9 @@
     python -m repro submit sedov --journal fleet.jsonl --priority 2
     python -m repro serve --journal fleet.jsonl --workers 2
 
-`run` drives the real solver under one of five execution backends
-(--backend cpu-serial|cpu-fused|cpu-sumfact|cpu-parallel|hybrid, with
-optional VTK/checkpoint output); `bench scaling` checks the measured
+`run` drives the real solver under one of four execution backends
+(--backend cpu-fused|cpu-sumfact|cpu-parallel|hybrid, with optional
+VTK/checkpoint output); `bench scaling` checks the measured
 weak/strong scaling curves against the analytic model (performance is
 measured by `perfbench/run.py`);
 `model` prices workloads on the simulated hardware; `tune` runs the
@@ -35,7 +35,7 @@ _PROBLEMS = ("sedov", "triple-pt", "taylor-green", "noh", "saltzman", "sod")
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for shell completion)."""
-    from repro.config import DEFAULT_MAX_STEPS
+    from repro.config import BACKEND_NAMES, DEFAULT_MAX_STEPS
 
     p = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -53,14 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--vtk", default=None, help="write a VTK snapshot here")
     run.add_argument("--checkpoint", default=None, help="write a checkpoint here")
     run.add_argument("--restore", default=None, help="restore a checkpoint first")
-    run.add_argument("--backend", default=None,
-                     choices=("cpu-serial", "cpu-fused", "cpu-sumfact",
-                              "cpu-parallel", "hybrid"),
-                     help="execution backend: the staged reference engine, the "
-                          "fused zero-allocation path (default), the "
-                          "matrix-free sum-factorization engine, the "
-                          "shared-memory zone-parallel executor, or the "
-                          "priced CPU-GPU split with in-band tuning")
+    run.add_argument("--backend", default=None, choices=BACKEND_NAMES,
+                     help="execution backend: the fused zero-allocation "
+                          "path (default), the matrix-free "
+                          "sum-factorization engine, the shared-memory "
+                          "zone-parallel executor, or the priced CPU-GPU "
+                          "split with in-band tuning")
     run.add_argument("--hybrid-device", default="K20", metavar="GPU",
                      help="simulated GPU pricing the hybrid backend's split")
     run.add_argument("--tuning-cache", default=None, metavar="PATH",
@@ -195,9 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--t-final", type=float, default=None)
     submit.add_argument("--max-steps", type=int, default=None,
                         help=f"step budget (default {DEFAULT_MAX_STEPS})")
-    submit.add_argument("--backend", default=None,
-                        choices=("cpu-serial", "cpu-fused", "cpu-sumfact",
-                                 "cpu-parallel", "hybrid"))
+    submit.add_argument("--backend", default=None, choices=BACKEND_NAMES)
     submit.add_argument("--priority", type=int, default=0,
                         help="higher runs first (default 0)")
     submit.add_argument("--deadline", type=float, default=None, metavar="S",

@@ -6,7 +6,9 @@ the distributed backend and the `ResilientDriver` (through
 `solver.config`), the service fleet (journaled in every `JobSpec`), and
 `repro.api.run`, which composes them. Execution backend, simulated
 ranks, zone-parallel workers, resilience and telemetry are all fields
-here; `resolved_backend` is the one place a backend name is resolved.
+here; `resolved_backend` is the one place a backend name is resolved,
+and `BACKEND_NAMES` the one list of valid names (re-exported by
+`repro.backends`, the CLI's `--backend` choices).
 
 This module stays import-light (stdlib only) so every layer can depend
 on it without cycles.
@@ -21,6 +23,7 @@ from repro.errors import ConfigError
 
 __all__ = [
     "RunConfig",
+    "BACKEND_NAMES",
     "validate_order",
     "parse_rank_schedule",
     "MAX_ORDER",
@@ -30,7 +33,9 @@ __all__ = [
 #: Step budget of a run whose config leaves `max_steps` unset.
 DEFAULT_MAX_STEPS = 100_000
 _INTEGRATORS = ("rk2avg", "euler", "rk4")
-_BACKENDS = ("cpu-serial", "cpu-fused", "cpu-sumfact", "cpu-parallel", "hybrid")
+#: The execution policies `backend` accepts (also the CLI's `--backend`
+#: choices and the `make_backend` registry keys).
+BACKEND_NAMES = ("cpu-fused", "cpu-sumfact", "cpu-parallel", "hybrid")
 # Supported kinematic orders: the Qk-Qk-1 pairing needs k >= 1, and the
 # problem registry / bench grid is validated through Q8 (ROADMAP item 3).
 MAX_ORDER = 8
@@ -98,14 +103,13 @@ class RunConfig:
     `quad_points_1d` / `pcg_tol` / `pcg_maxiter` / `energy_every` /
     `record_dt_history` mirror the solver knobs.
 
-    Execution: `backend` is the policy selector — "cpu-serial"
-    (staged reference engine), "cpu-fused" (zero-allocation hot path,
-    the default), "cpu-sumfact" (matrix-free sum-factorization engine,
-    O(order^{d+1}) per zone), "cpu-parallel" (shared-memory
-    zone-parallel executor over `workers` processes) or "hybrid" (fused
-    execution priced as a CPU/GPU zone split, with in-band tuning via
-    `repro.sched`). Left as None it resolves from `workers` (see
-    `resolved_backend`); `ranks` > 0 wraps the resolved
+    Execution: `backend` is the policy selector — "cpu-fused"
+    (zero-allocation hot path, the default), "cpu-sumfact" (matrix-free
+    sum-factorization engine, O(order^{d+1}) per zone), "cpu-parallel"
+    (shared-memory zone-parallel executor over `workers` processes) or
+    "hybrid" (fused execution priced as a CPU/GPU zone split, with
+    in-band tuning via `repro.sched`). Left as None it resolves from
+    `workers` (see `resolved_backend`); `ranks` > 0 wraps the resolved
     backend in the simulated-MPI distributed backend (composable with
     every node backend), and `overlap` toggles whether the
     interface-dof exchange is priced as hidden under interior-zone
@@ -194,10 +198,10 @@ class RunConfig:
             raise ConfigError("rank_schedule requires ranks >= 1")
         parse_rank_schedule(self.rank_schedule)
         if self.backend is not None:
-            if self.backend not in _BACKENDS:
+            if self.backend not in BACKEND_NAMES:
                 raise ConfigError(
                     f"unknown backend '{self.backend}' "
-                    f"(choose from {_BACKENDS})"
+                    f"(choose from {BACKEND_NAMES})"
                 )
             if self.workers > 0 and self.backend != "cpu-parallel":
                 raise ConfigError(

@@ -11,31 +11,29 @@ followed by the two contractions the time integrator needs: -F.1
 (momentum right-hand side, kernel 8) and F^T v (energy right-hand side,
 kernel 10).
 
-Two interchangeable engines are provided:
+Two formulations are provided:
 
-* `ForceEngine` — the *batched* formulation of the paper's GPU redesign:
+* `ForceEngine` — the *batched* formulation of the paper's GPU redesign,
+  as a zero-allocation hot path mirroring its register-blocked kernels:
   every stage is a vectorized contraction over all zones and quadrature
-  points at once, phase-split exactly along the kernel boundaries of the
+  points at once, all einsum contraction paths are planned once at
+  construction, every intermediate writes into a `Workspace` buffer,
+  geometry is evaluated once per RK2 stage into a read-only per-`x`
+  cache, and the corner-force matrix is produced by a single fused
+  five-operand contraction. The stages run under the span labels of the
   paper's Table 2 so the hardware cost models can meter each kernel.
+  `SumfactForceEngine` is its matrix-free, sum-factorized subclass.
 * `corner_force_loops` — the original CPU structure (outer loop over
-  zones, inner loop over quadrature points, scalar math per point),
-  kept as the independently-written reference that the batched path is
-  validated against.
-
-`ForceEngine` itself has two modes. `fused=False` is the historical
-allocate-per-call formulation. `fused=True` (the default) is the
-zero-allocation hot path mirroring the paper's register-blocked GPU
-kernels: all einsum contraction paths are planned once at construction,
-every intermediate writes into a `Workspace` buffer, geometry is
-evaluated once per RK2 stage into a read-only per-`x` cache, and the
-corner-force matrix is produced by a single fused five-operand
-contraction. The two modes agree to a few ULPs (~1e-15 relative; the
-fused contractions reorder mathematically-identical floating point).
+  zones, inner loop over quadrature points, scalar math per point, the
+  stress from `tensor_viscosity`), kept as the independently-written
+  reference the batched path is validated against. The two agree to a
+  few ULPs (~1e-15 relative; the fused contractions reorder
+  mathematically-identical floating point).
 
 The fused stages also evaluate any zone subset prepared with
 `prepare_subset` (`compute_subset`): the simulated ranks' interface and
 interior phases and the zone-parallel executor's chunks all go through
-that one entry, whatever the engine's mode.
+that one entry.
 """
 
 from __future__ import annotations
@@ -101,7 +99,6 @@ class ForceResult:
     points: PointData
     dt_est: float
     valid: bool = True
-    Az: np.ndarray | None = field(default=None, repr=False)
     dt_zones: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -138,13 +135,10 @@ class ForceEngine:
     geometry0 : initial-configuration geometry (sets the conserved
         pointwise mass rho0 |J0|).
     viscosity : tensor artificial viscosity coefficients.
-    fused : select the zero-allocation workspace path (default) or the
-        historical allocate-per-call path for the full-batch `compute`;
-        zone subsets (`compute_subset`) always take the fused stages.
-    workspace : buffer pool to use for the fused path (a private one is
+    workspace : buffer pool for every intermediate (a private one is
         created when omitted); subset workspaces share its arena.
     tracer : optional enabled `repro.telemetry.Tracer`; when given, the
-        full-batch fused path emits one "kernel"-category span per
+        full-batch `compute` emits one "kernel"-category span per
         Table 2 stage (geometry / pointwise stress / fused contraction).
     """
 
@@ -157,7 +151,6 @@ class ForceEngine:
         rho0_qp: np.ndarray,
         geometry0: GeometryAtPoints,
         viscosity: ViscosityCoefficients | None = None,
-        fused: bool = True,
         workspace: Workspace | None = None,
         tracer=None,
     ):
@@ -180,7 +173,6 @@ class ForceEngine:
         # Strong mass conservation: rho(q,t) |J(q,t)| = rho0 |J0| forever.
         self.mass_qp = rho0_qp * geometry0.det
         self.order = kinematic.order
-        self.fused = bool(fused)
         self.workspace = workspace if workspace is not None else Workspace()
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None
         self._ldof = kinematic.ldof
@@ -234,15 +226,13 @@ class ForceEngine:
     def point_geometry(self, x: np.ndarray) -> GeometryAtPoints:
         """Kernels 1/3: Jacobians, determinants, adjugates at all points.
 
-        On the fused path this is cached per `x` array (identity-keyed):
-        each RK2 stage evaluates geometry exactly once and every consumer
-        — corner force, viscosity length scales, dt control, validity
-        checks — reads the same frozen `GeometryAtPoints`. The returned
+        Cached per `x` array (identity-keyed): each RK2 stage evaluates
+        geometry exactly once and every consumer — corner force,
+        viscosity length scales, dt control, validity checks — reads the
+        same frozen `GeometryAtPoints`. The returned
         arrays are read-only; callers must treat `x` as immutable once
         passed in (all integrators allocate fresh position arrays).
         """
-        if not self.fused:
-            return self.geom_eval.evaluate(x)
         for slot in (0, 1):
             entry = self._geo_cache[slot]
             if entry is not None and entry[0] is x:
@@ -286,54 +276,9 @@ class ForceEngine:
         """Kernel 1: jac[z,k,d,e] = sum_i xz[z,i,d] gradW[k,i,e]."""
         np.einsum("zid,kie->zkde", xz, self.grad_table, out=jac, optimize=self._path_jac)
 
-    def velocity_gradient(self, v: np.ndarray, geo: GeometryAtPoints) -> np.ndarray:
-        """Kernel 3: physical velocity gradient at all points.
-
-        grad_v[z,k,d,e] = sum_i v_z[i,d] (J^{-T} grad_hat w_i)_e.
-        Uses adj(J)/det to avoid forming explicit inverses.
-        """
-        vz = self.kinematic.gather(v)  # (nz, ndz, dim)
-        ref_grad = np.einsum("zid,kir->zkdr", vz, self.grad_table, optimize=True)
-        return np.einsum("zkdr,zkre->zkde", ref_grad, geo.adj, optimize=True) / geo.det[..., None, None]
-
-    def point_thermo(self, e: np.ndarray, geo: GeometryAtPoints) -> tuple[np.ndarray, np.ndarray]:
-        """Density (mass conservation) and energy interpolated at points."""
-        rho = self.mass_qp / geo.det
-        ez = self.thermodynamic.gather(e)  # (nz, ndzL2)
-        e_qp = np.einsum("kj,zj->zk", self.basis_l2, ez, optimize=True)
-        return rho, e_qp
-
-    def point_stress(self, state: HydroState, geo: GeometryAtPoints) -> PointData:
-        """Kernels 2/4: EOS, artificial viscosity, total stress sigma_hat."""
-        rho, e_qp = self.point_thermo(state.e, geo)
-        p = self.eos.pressure(rho, e_qp)
-        cs = self.eos.sound_speed(rho, e_qp)
-        grad_v = self.velocity_gradient(state.v, geo)
-        sigma_visc, mu_max = tensor_viscosity(
-            grad_v, geo.jac, rho, cs, self.order, self.viscosity
-        )
-        dim = geo.jac.shape[-1]
-        sigma = sigma_visc - p[..., None, None] * np.eye(dim)
-        return PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
-
-    def assemble_Az(self, points: PointData, geo: GeometryAtPoints) -> np.ndarray:
-        """Kernels 5/6: A_z via batched DIM x DIM products.
-
-        Az[z,k,i,d] = alpha_k sum_e sigma[z,k,d,e]
-                       sum_r gradW[k,i,r] adj(J)[z,k,r,e]
-        (|J| J^{-1} = adj(J) keeps the volume factor of eq. (5) implicit).
-        """
-        sig_adj = np.einsum("zkde,zkre->zkdr", points.sigma, geo.adj, optimize=True)
-        az = np.einsum("kir,zkdr->zkid", self.grad_table, sig_adj, optimize=True)
-        return az * self.quad.weights[None, :, None, None]
-
-    def assemble_Fz(self, Az: np.ndarray) -> np.ndarray:
-        """Kernel 7: F_z = A_z B^T, batched over zones."""
-        return np.einsum("zkid,jk->zidj", Az, self.B, optimize=True)
-
     def force_times_one(self, Fz: np.ndarray) -> np.ndarray:
         """Kernel 8: per-zone -F.1 contribution (before global scatter)."""
-        if self.fused and Fz.shape == self._fz_shape:
+        if Fz.shape == self._fz_shape:
             out = self.workspace.get("rhs_mom_z", Fz.shape[:-1])
             np.sum(Fz, axis=-1, out=out)
             np.negative(out, out=out)
@@ -342,7 +287,7 @@ class ForceEngine:
 
     def force_transpose_times_v(self, Fz: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Kernel 10: per-zone F^T v (flat L2 layout)."""
-        if self.fused and Fz.shape == self._fz_shape:
+        if Fz.shape == self._fz_shape:
             ws = self.workspace
             vz = ws.get("vz_energy", Fz.shape[:3])
             np.take(v, self._ldof, axis=0, out=vz)
@@ -400,10 +345,10 @@ class ForceEngine:
     def compute_subset(self, state: HydroState, subset: ZoneSubset) -> ForceResult:
         """Fused corner-force evaluation of a prepared zone subset.
 
-        The per-zone arithmetic is `_compute_fused`'s (the same stages
-        and construction-time `einsum_path`s) on the subset's gathered
-        rows, and every contraction reduces within a zone: the subset of
-        every zone in order gives the bits of the fused `compute`, and a
+        The per-zone arithmetic is `compute`'s (the same stages and
+        construction-time `einsum_path`s) on the subset's gathered rows,
+        and every contraction reduces within a zone: the subset of every
+        zone in order gives the bits of the full-batch `compute`, and a
         fixed partition gives the same bits however its subsets are
         scheduled.
         Other subsets agree with the full-batch rows up to the final
@@ -429,18 +374,6 @@ class ForceEngine:
         np.min(self._dt_points(points, geo), axis=1, out=dt_zones)
         return ForceResult(Fz, geo, points, float(dt_zones.min(initial=np.inf)),
                            valid=True, dt_zones=dt_zones)
-
-    def compute(self, state: HydroState, keep_az: bool = False) -> ForceResult:
-        """Full corner-force evaluation at the given state.
-
-        Dispatches to the fused zero-allocation path unless the engine
-        was built with fused=False or the caller wants the intermediate
-        A_z (a debugging/analysis flag the fused contraction never
-        materializes).
-        """
-        if self.fused and not keep_az:
-            return self._compute_fused(state)
-        return self._compute_legacy(state, keep_az)
 
     def _fused_stages(
         self, ws: Workspace, geo: GeometryAtPoints, v: np.ndarray, ldof: np.ndarray,
@@ -487,10 +420,10 @@ class ForceEngine:
             )
         return Fz, PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
 
-    def _compute_fused(self, state: HydroState) -> ForceResult:
-        """Workspace-backed full-batch evaluation: the per-`x` cached
-        geometry, the fused stages and a double-buffered F_z (the two
-        most recent results stay live across RK2's stages)."""
+    def compute(self, state: HydroState) -> ForceResult:
+        """Full corner-force evaluation at the given state: the per-`x`
+        cached geometry, the fused stages and a double-buffered F_z (the
+        two most recent results stay live across RK2's stages)."""
         tr = self.tracer
         with tr.span(_K_GEOMETRY, category="kernel") if tr else NULL_SPAN:
             geo = self.point_geometry(state.x)
@@ -511,37 +444,6 @@ class ForceEngine:
         )
         dt_est = self.estimate_dt(points, geo)
         return ForceResult(Fz, geo, points, dt_est, valid=True)
-
-    def _compute_legacy(self, state: HydroState, keep_az: bool = False) -> ForceResult:
-        """Historical allocate-per-call evaluation (also serves keep_az)."""
-        geo = self.point_geometry(state.x)
-        if not geo.check_valid():
-            return ForceResult(
-                Fz=np.zeros(
-                    (
-                        self.kinematic.mesh.nzones,
-                        self.kinematic.ndof_per_zone,
-                        self.kinematic.dim,
-                        self.thermodynamic.ndof_per_zone,
-                    )
-                ),
-                geometry=geo,
-                points=None,
-                dt_est=0.0,
-                valid=False,
-            )
-        points = self.point_stress(state, geo)
-        Az = self.assemble_Az(points, geo)
-        Fz = self.assemble_Fz(Az)
-        dt_est = self.estimate_dt(points, geo)
-        return ForceResult(
-            Fz=Fz,
-            geometry=geo,
-            points=points,
-            dt_est=dt_est,
-            valid=True,
-            Az=Az if keep_az else None,
-        )
 
 
 class SumfactStress:
@@ -591,7 +493,6 @@ class SumfactForceEngine(ForceEngine):
     sumfact = True
 
     def __init__(self, *args, **kwargs):
-        kwargs["fused"] = True
         super().__init__(*args, **kwargs)
         from repro.fem.sumfact import SumFactorizedOperators
 
@@ -626,12 +527,7 @@ class SumfactForceEngine(ForceEngine):
         for d in range(xz.shape[-1]):
             self._ops_h1.apply_G(xz[:, :, d], out=jac[:, :, d, :])
 
-    def compute(self, state: HydroState, keep_az: bool = False) -> ForceResult:
-        if keep_az:
-            return self._compute_legacy(state, keep_az)
-        return self._compute_sumfact(state)
-
-    def _compute_sumfact(self, state: HydroState) -> ForceResult:
+    def compute(self, state: HydroState) -> ForceResult:
         """Workspace-backed factorized evaluation ending in T, not F_z."""
         ws = self.workspace
         nz, ndz, dim, ndl2 = self._fz_shape

@@ -88,11 +88,9 @@ class RK2AvgIntegrator:
         if self.assemble_fn is not None:
             return self.assemble_fn(force)
         rhs_z = self.engine.force_times_one(force.Fz)  # (nz, ndz, dim)
-        out = None
-        if getattr(self.engine, "fused", False):
-            out = self.engine.workspace.get(
-                "rhs_mom", (self.engine.kinematic.ndof, self.engine.kinematic.dim)
-            )
+        out = self.engine.workspace.get(
+            "rhs_mom", (self.engine.kinematic.ndof, self.engine.kinematic.dim)
+        )
         return self.engine.kinematic.scatter_add(rhs_z, out=out)
 
     def _stage(

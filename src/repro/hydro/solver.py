@@ -287,10 +287,10 @@ class LagrangianHydroSolver:
 
     # -- Execution backend -------------------------------------------------------
 
-    def _make_engine(self, fused: bool, sumfact: bool = False) -> ForceEngine:
-        """Build one `ForceEngine` flavour (backend construction hook)."""
+    def _make_engine(self, sumfact: bool = False) -> ForceEngine:
+        """Build the dense or sum-factorized `ForceEngine` (backend
+        construction hook)."""
         cls = SumfactForceEngine if sumfact else ForceEngine
-        kwargs = {} if sumfact else {"fused": fused}
         return cls(
             self.kinematic,
             self.thermodynamic,
@@ -301,7 +301,6 @@ class LagrangianHydroSolver:
             viscosity=self.problem.viscosity(),
             workspace=Workspace(arena=self.arena),
             tracer=self.tracer,
-            **kwargs,
         )
 
     def release_workspaces(self) -> None:

@@ -1,15 +1,18 @@
 """The redesigned CUDA kernel set (paper Table 2), simulated.
 
-Each kernel module pairs
+Each kernel module is a **cost descriptor** (`KernelCost`): flops,
+bytes per memory level and launch configuration, per optimization
+*version* (v1 naive, v2 shared-memory, v3 blocked/tuned; plus the base
+register-spilling monolith and the CUBLAS baselines), which the
+`gpu.execution` roofline model turns into time/bandwidth/power.
 
-* a **functional implementation** — vectorized NumPy delegating to the
-  `ForceEngine` / `linalg.batched` layers, producing the same numbers
-  the CPU path produces (the paper's Section 4.1 validation), and
-* a **cost descriptor** (`KernelCost`) — flops, bytes per memory level
-  and launch configuration, per optimization *version* (v1 naive, v2
-  shared-memory, v3 blocked/tuned; plus the base register-spilling
-  monolith and the CUBLAS baselines), which the `gpu.execution`
-  roofline model turns into time/bandwidth/power.
+The functional arithmetic lives where the solver runs it, so the
+simulated GPU and the CPU produce the same numbers (the paper's Section
+4.1 validation): kernels 1-7 are `ForceEngine.point_geometry` and
+`ForceEngine._fused_stages` (traced under the kernel 1, 2 and 7 span
+labels), kernels 8 and 10 are `force_times_one` and
+`force_transpose_times_v`, kernel 9 is the momentum PCG
+(`hydro.momentum`), and kernel 11 is `mass_e.solve`.
 
 Kernel numbering follows Table 2:
   1 kernel_CalcAjugate_det   SVD, eigenvalues, adjugate

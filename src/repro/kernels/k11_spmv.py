@@ -10,13 +10,11 @@ SpMV which runs every iteration.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpu.execution import KernelCost
 from repro.kernels.config import FEConfig
 from repro.kernels.k9_pcg import spmv_cost
 
-__all__ = ["kernel11_cost", "run_kernel11"]
+__all__ = ["kernel11_cost"]
 
 
 def kernel11_cost(cfg: FEConfig) -> KernelCost:
@@ -26,8 +24,3 @@ def kernel11_cost(cfg: FEConfig) -> KernelCost:
     nrows = cfg.nzones * P
     cost = spmv_cost(nnz, nrows, name="SpMV_ME_inverse")
     return cost
-
-
-def run_kernel11(mass_e, rhs: np.ndarray) -> np.ndarray:
-    """Functional energy solve through the precomputed block inverses."""
-    return mass_e.solve(rhs)

@@ -20,20 +20,11 @@ The paper's Figure 4 story lives in the two versions:
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.fem.geometry import GeometryAtPoints
 from repro.gpu.execution import KernelCost
 from repro.kernels.base import FLOPS_PER_POINT
 from repro.kernels.config import FEConfig
-from repro.linalg.svd_small import batched_singular_values
 
-__all__ = [
-    "kernel1_cost",
-    "kernel2_cost",
-    "run_kernel1",
-    "run_kernel2",
-]
+__all__ = ["kernel1_cost", "kernel2_cost"]
 
 # Workspace doubles per thread (J, adj, scratch for SVD/eigen in kernel
 # 1; eigenvectors + viscosity directions in kernel 2, which is larger).
@@ -109,18 +100,3 @@ def kernel2_cost(cfg: FEConfig, version: str = "register") -> KernelCost:
         "kernel_loop_grad_v", cfg, FLOPS_PER_POINT[d][1], io, version,
         _WORKSPACE_DOUBLES_K2[d],
     )
-
-
-# -- Functional implementations -------------------------------------------------
-
-
-def run_kernel1(engine, x: np.ndarray) -> tuple[GeometryAtPoints, np.ndarray]:
-    """Geometry pass: adjugates/determinants plus SVD length scales."""
-    geo = engine.point_geometry(x)
-    svals = batched_singular_values(geo.jac)
-    return geo, svals
-
-
-def run_kernel2(engine, state, geo: GeometryAtPoints):
-    """Stress pass: EOS + artificial viscosity -> PointData."""
-    return engine.point_stress(state, geo)

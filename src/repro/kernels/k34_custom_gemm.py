@@ -25,18 +25,10 @@ The three versions trace the paper's optimization narrative
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpu.execution import KernelCost
 from repro.kernels.config import FEConfig
 
-__all__ = [
-    "kernel3_cost",
-    "kernel4_cost",
-    "feasible_matrices_per_block",
-    "run_kernel3",
-    "run_kernel4",
-]
+__all__ = ["kernel3_cost", "kernel4_cost", "feasible_matrices_per_block"]
 
 _SHARED_LIMIT_BYTES = 48 * 1024
 
@@ -180,16 +172,3 @@ def kernel4_cost(
             dram_efficiency=0.9,
         )
     raise ValueError(f"unknown version '{version}' (v1|v2|v3)")
-
-
-# -- Functional implementations ------------------------------------------------
-
-
-def run_kernel3(engine, state, geo) -> np.ndarray:
-    """grad v at all points (the J part is produced by run_kernel1)."""
-    return engine.velocity_gradient(state.v, geo)
-
-
-def run_kernel4(engine, points, geo) -> np.ndarray:
-    """A_z assembly from the stress and geometry (kernels 4-6 fused)."""
-    return engine.assemble_Az(points, geo)

@@ -18,21 +18,16 @@ Versions:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpu.execution import KernelCost
 from repro.gpu.specs import GPUSpec
 from repro.kernels.config import FEConfig
 from repro.kernels.cublas import cublas_dgemm_batched_cost
-from repro.linalg.batched import batched_gemm, batched_gemm_nt
 
 __all__ = [
     "batched_dgemm_cost",
     "kernel5_cost",
     "kernel6_cost",
     "batched_dgemm_roofline_gflops",
-    "run_kernel5",
-    "run_kernel6",
 ]
 
 
@@ -109,13 +104,3 @@ def kernel5_cost(cfg: FEConfig, version: str = "tuned", matrices_per_block: int 
 def kernel6_cost(cfg: FEConfig, version: str = "tuned", matrices_per_block: int = 32) -> KernelCost:
     """NT-variant over all quadrature points."""
     return batched_dgemm_cost(cfg.npoints, cfg.dim, version, matrices_per_block, transpose_b=True)
-
-
-def run_kernel5(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Functional NN batched DGEMM."""
-    return batched_gemm(a, b)
-
-
-def run_kernel6(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Functional NT batched DGEMM."""
-    return batched_gemm_nt(a, b)

@@ -19,13 +19,11 @@ the paper's Figure 7 narrative:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpu.execution import KernelCost
 from repro.kernels.config import FEConfig
 from repro.kernels.cublas import cublas_dgemm_batched_cost
 
-__all__ = ["kernel7_cost", "feasible_block_cols", "run_kernel7"]
+__all__ = ["kernel7_cost", "feasible_block_cols"]
 
 _SHARED_LIMIT_BYTES = 48 * 1024
 
@@ -97,8 +95,3 @@ def kernel7_cost(cfg: FEConfig, version: str = "v3", block_cols: int = 16) -> Ke
             dram_efficiency=0.9,
         )
     raise ValueError(f"unknown version '{version}' (v1|v2|v3|cublas)")
-
-
-def run_kernel7(engine, Az: np.ndarray) -> np.ndarray:
-    """Functional Fz = Az B^T via the engine's tabulated B."""
-    return engine.assemble_Fz(Az)

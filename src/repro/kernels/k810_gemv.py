@@ -14,8 +14,6 @@ about half of that ("achieving 50% of theoretical peak").
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpu.execution import KernelCost
 from repro.gpu.specs import GPUSpec
 from repro.kernels.config import FEConfig
@@ -25,8 +23,6 @@ __all__ = [
     "kernel8_cost",
     "kernel10_cost",
     "batched_dgemv_roofline_gflops",
-    "run_kernel8",
-    "run_kernel10",
 ]
 
 
@@ -72,13 +68,3 @@ def kernel10_cost(cfg: FEConfig) -> KernelCost:
     return batched_dgemv_cost(
         cfg.nzones, cfg.vector_rows, cfg.ndof_thermo_zone, transpose=True
     )
-
-
-def run_kernel8(engine, Fz: np.ndarray) -> np.ndarray:
-    """Functional -F.1 (per-zone contributions)."""
-    return engine.force_times_one(Fz)
-
-
-def run_kernel10(engine, Fz: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Functional F^T v (flat thermodynamic layout)."""
-    return engine.force_transpose_times_v(Fz, v)

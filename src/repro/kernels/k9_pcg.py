@@ -10,12 +10,10 @@ step.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpu.execution import KernelCost
 from repro.kernels.config import FEConfig
 
-__all__ = ["spmv_cost", "blas1_iteration_cost", "pcg_step_costs", "run_kernel9"]
+__all__ = ["spmv_cost", "blas1_iteration_cost", "pcg_step_costs"]
 
 
 def spmv_cost(nnz: float, nrows: float, name: str = "csrMv_ci_kernel") -> KernelCost:
@@ -72,13 +70,3 @@ def pcg_step_costs(
         costs.append(spmv_cost(nnz, n).scaled(total_iters))
         costs.append(blas1_iteration_cost(n).scaled(total_iters))
     return costs
-
-
-def run_kernel9(momentum_solver, rhs: np.ndarray) -> np.ndarray:
-    """Functional CUDA-PCG: delegates to the shared PCG implementation.
-
-    The GPU and CPU paths run the *same* solver (our from-scratch PCG),
-    which is exactly why the paper's Table 6 shows identical-to-
-    roundoff results between platforms.
-    """
-    return momentum_solver.solve(rhs)

@@ -181,7 +181,7 @@ class ZoneParallelExecutor:
             raise RuntimeError("executor has been closed")
         self._pool.start()
 
-    def compute(self, state: HydroState, keep_az: bool = False) -> ForceResult:
+    def compute(self, state: HydroState) -> ForceResult:
         """Drop-in replacement for `ForceEngine.compute`.
 
         Returns a ForceResult whose F_z is a view of the shared output
@@ -192,8 +192,6 @@ class ZoneParallelExecutor:
         """
         if self._closed:
             raise RuntimeError("executor has been closed")
-        if keep_az:  # debug path: not worth distributing
-            return self.engine.compute(state, keep_az=True)
         if not self._pool.running:
             self._pool.start()
         if self.tracer is not None:
@@ -231,10 +229,10 @@ class ZoneParallelExecutor:
         This is the executor's bitwise reference: `compute` must produce
         exactly these arrays (tests assert equality down to the last
         ULP), proving the multiprocessing layer changes scheduling only,
-        never arithmetic. With a fused engine this is additionally
-        bitwise equal to `engine.compute` itself when the partition is a
-        single span (the default at workers=1), and within the subset
-        entry's batch-extent reordering otherwise.
+        never arithmetic. It is additionally bitwise equal to
+        `engine.compute` itself when the partition is a single span (the
+        default at workers=1), and within the subset entry's
+        batch-extent reordering otherwise.
         """
         results = [self._compute_chunk(state, ci) for ci in range(len(self.chunk_ids))]
         Fz = np.concatenate([r.Fz for r in results], axis=0)

@@ -185,15 +185,16 @@ def hybrid_param_space(fe_cfg, gpu_spec) -> ParamSpace:
     Five axes in the kernel_tuner `tune_params` + `restrictions`
     idiom: the three Section 3.2.1 kernel tilings plus the two runtime
     knobs (host engine fusion, worker zone-chunking). The fusion axis
-    spans the three host engines — "fused" (dense zero-allocation),
+    spans three host stagings — "fused" (dense zero-allocation),
     "sumfact" (matrix-free sum-factorization; wins on modeled work past
-    the per-order crossover, see `repro.fem.sumfact`) and "legacy" —
-    so the multi-objective tuner picks the dense/sumfact crossover per
-    order instead of hard-coding it. Restrictions eliminate launch
-    configurations over the device's shared-memory / register budget
-    (memoized — each axis value is priced once, not once per cartesian
-    point) and the cross-parameter rule that only the batched hot paths
-    (fused, sumfact) chunk zones.
+    the per-order crossover, see `repro.fem.sumfact`) and "legacy" (the
+    unfused allocate-per-call staging, priced by the hybrid backend's
+    `LEGACY_FUSION_FACTOR`) — so the multi-objective tuner picks the
+    dense/sumfact crossover per order instead of hard-coding it.
+    Restrictions eliminate launch configurations over the device's
+    shared-memory / register budget (memoized — each axis value is
+    priced once, not once per cartesian point) and the cross-parameter
+    rule that only the batched hot paths (fused, sumfact) chunk zones.
     """
     from repro.gpu import execute_kernel
     from repro.kernels.k34_custom_gemm import kernel3_cost
@@ -224,7 +225,7 @@ def hybrid_param_space(fe_cfg, gpu_spec) -> ParamSpace:
             lambda c: k7_ok(c["kernel7_block_cols"]),
             # Zone chunking is a property of the batched hot paths'
             # worker loop (fused and sumfact share it); the legacy
-            # engine always processes zone-by-zone.
+            # staging always processes zone-by-zone.
             lambda c: c["fusion"] != "legacy" or c["chunk"] == 1,
         ),
         kernel3_matrices_per_block=(1, 2, 4, 8, 16, 32, 64, 128),

@@ -128,14 +128,15 @@ class JobSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
         """Inverse of `to_dict`. Records journaled before `RunConfig`
-        lost its `engine` and `rank_step` fields still load: both keys
-        are dropped, and `engine="legacy"` becomes the backend it
-        resolved to."""
+        lost its `engine` and `rank_step` fields, or before the staged
+        `cpu-serial` backend was folded into `cpu-fused`, still load:
+        both keys are dropped whatever their value, and `cpu-serial`
+        becomes `cpu-fused`."""
         config = dict(d["config"])
+        config.pop("engine", None)
         config.pop("rank_step", None)
-        if (config.pop("engine", None) == "legacy" and config.get("backend") is None
-                and not config.get("workers")):
-            config["backend"] = "cpu-serial"
+        if config.get("backend") == "cpu-serial":
+            config["backend"] = "cpu-fused"
         return cls(
             problem=d["problem"],
             config=RunConfig(**config),

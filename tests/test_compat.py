@@ -58,6 +58,10 @@ class TestRemovedSpellings:
         with pytest.raises(TypeError):
             RunConfig(engine="fused")
 
+    def test_cpu_serial_backend_is_gone(self):
+        with pytest.raises(ValueError, match="unknown backend 'cpu-serial'"):
+            RunConfig(backend="cpu-serial")
+
     def test_rank_step_field_is_gone(self):
         with pytest.raises(TypeError):
             RunConfig(ranks=2, rank_step="vectorized")
@@ -75,12 +79,15 @@ class TestRemovedSpellings:
         [
             (["run", "sedov", "--zones", "3", "--t-final", "0.005",
               "--engine", "fused", "--json"], "unrecognized arguments"),
+            (["run", "sedov", "--zones", "3", "--t-final", "0.005",
+              "--backend", "cpu-serial", "--json"], "invalid choice"),
             (["bench", "hotpath", "--quick", "--json", "<tmp>"],
              "invalid choice"),
             (["bench", "scaling", "--quick", "--workers", "2",
               "--json", "<tmp>"], "unrecognized arguments"),
         ],
-        ids=["run-engine", "bench-hotpath", "bench-scaling-workers"],
+        ids=["run-engine", "run-backend-cpu-serial", "bench-hotpath",
+             "bench-scaling-workers"],
     )
     def test_cli_removed_spellings_rejected(self, argv, message, tmp_path, capsys):
         """Each removed CLI spelling exits 2 with a usage line. A bench

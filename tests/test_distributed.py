@@ -37,7 +37,7 @@ class TestCompositionMatrix:
     """`ranks` composes with every node backend (the tentpole)."""
 
     @pytest.mark.parametrize(
-        "backend", ["cpu-serial", "cpu-fused", "cpu-sumfact", "cpu-parallel", "hybrid"]
+        "backend", ["cpu-fused", "cpu-sumfact", "cpu-parallel", "hybrid"]
     )
     def test_smoke_every_node_backend_matches_serial(self, backend):
         cfg = dict(zones=5, max_steps=8)
@@ -377,9 +377,9 @@ class TestDistributedMechanics:
         solver = make_solver(nranks=2, backend="hybrid")
         backend = solver.backend
         assert backend.tuning_target() is backend.node
-        # Every rank runs the one fused engine: no flavour change.
+        # Every rank runs the one dense engine: no flavour change.
         with pytest.raises(ValueError, match="engine flavour"):
-            backend.swap_node("cpu-serial", rank=0)
+            backend.swap_node("cpu-sumfact", rank=0)
         backend.swap_node("cpu-fused", rank=0)
         assert [r.node_name for r in backend.ranks] == ["cpu-fused", "hybrid"]
         assert backend.tuning_target() is None

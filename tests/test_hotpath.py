@@ -3,9 +3,10 @@
 Covers the fused workspace engine, the per-stage geometry cache, the
 shared-memory zone-parallel executor and the solver's phase breakdown:
 
-* serial (legacy), workspace (fused) and parallel engines agree on a
-  randomized curved mesh to the 1e-13 parity budget, and the parallel
-  executor is *bitwise* identical to its serially-executed chunking;
+* the engine and the parallel executor agree with the loop reference
+  (`corner_force_loops`, `tensor_viscosity`) on a randomized curved mesh
+  to the 1e-13 parity budget, and the parallel executor is *bitwise*
+  identical to its serially-executed chunking;
 * steady-state solver steps allocate no new workspace buffers (buffer
   identities frozen after warmup) and no persistent heap growth under
   tracemalloc;
@@ -26,10 +27,11 @@ from repro.fem.geometry import GeometryEvaluator
 from repro.fem.mesh import cartesian_mesh_2d
 from repro.fem.quadrature import tensor_quadrature
 from repro.fem.spaces import H1Space, L2Space
-from repro.hydro.corner_force import ForceEngine
+from repro.hydro.corner_force import ForceEngine, corner_force_loops
 from repro.hydro.eos import GammaLawEOS
 from repro.hydro.solver import LagrangianHydroSolver
 from repro.hydro.state import HydroState
+from repro.hydro.viscosity import tensor_viscosity
 from repro.hydro.workspace import Workspace
 from repro.problems import SodProblem
 from repro.runtime.parallel import ZoneParallelExecutor
@@ -37,19 +39,15 @@ from repro.runtime.parallel import ZoneParallelExecutor
 PARITY = dict(rtol=1e-13, atol=1e-14)
 
 
-def make_engines(order: int, nz1d: int, fused_only: bool = False):
-    """Legacy + fused engines sharing one discretization."""
+def make_engine(order: int, nz1d: int) -> ForceEngine:
+    """A corner-force engine over a 2D Cartesian discretization."""
     mesh = cartesian_mesh_2d(nz1d, nz1d)
     h1 = H1Space(mesh, order)
     l2 = L2Space(mesh, order - 1)
     quad = tensor_quadrature(2, 2 * order)
     geo0 = GeometryEvaluator(h1, quad).evaluate(h1.node_coords)
     rho0 = np.ones((mesh.nzones, quad.nqp))
-    args = (h1, l2, quad, GammaLawEOS(), rho0, geo0)
-    fused = ForceEngine(*args, fused=True)
-    if fused_only:
-        return fused
-    return ForceEngine(*args, fused=False), fused
+    return ForceEngine(h1, l2, quad, GammaLawEOS(), rho0, geo0)
 
 
 def random_state(h1: H1Space, l2: L2Space, rng) -> HydroState:
@@ -68,23 +66,32 @@ def random_state(h1: H1Space, l2: L2Space, rng) -> HydroState:
 
 class TestEngineParity:
     @pytest.mark.parametrize("order", [2, 3])
-    def test_fused_matches_legacy_on_curved_mesh(self, order, rng):
-        legacy, fused = make_engines(order, 6)
+    def test_fused_matches_loops_on_curved_mesh(self, order, rng):
+        engine = make_engine(order, 6)
         for _ in range(3):  # three independent random states
-            state = random_state(legacy.kinematic, legacy.thermodynamic, rng)
-            rl = legacy.compute(state)
-            rf = fused.compute(state)
-            assert rl.valid and rf.valid
-            np.testing.assert_allclose(rf.Fz, rl.Fz, **PARITY)
-            assert rf.dt_est == pytest.approx(rl.dt_est, rel=1e-13)
-            # Shared-helper stages are bitwise identical.
-            np.testing.assert_array_equal(rf.geometry.jac, rl.geometry.jac)
-            np.testing.assert_array_equal(rf.geometry.det, rl.geometry.det)
-            np.testing.assert_array_equal(rf.geometry.adj, rl.geometry.adj)
-            np.testing.assert_array_equal(rf.points.rho, rl.points.rho)
+            state = random_state(engine.kinematic, engine.thermodynamic, rng)
+            res = engine.compute(state)
+            assert res.valid
+            np.testing.assert_allclose(res.Fz, corner_force_loops(engine, state), **PARITY)
+            # The cached geometry is the evaluator's, bit for bit.
+            geo = engine.point_geometry(state.x)
+            ref = engine.geom_eval.evaluate(state.x)
+            np.testing.assert_array_equal(geo.jac, ref.jac)
+            np.testing.assert_array_equal(geo.det, ref.det)
+            np.testing.assert_array_equal(geo.adj, ref.adj)
+            # The fused viscosity kernel computes the reference stress.
+            pts = res.points
+            sigma_visc, mu_max = tensor_viscosity(
+                pts.grad_v, geo.jac, pts.rho, pts.sound_speed,
+                engine.order, engine.viscosity,
+            )
+            np.testing.assert_allclose(
+                pts.sigma + pts.pressure[..., None, None] * np.eye(2), sigma_visc, **PARITY
+            )
+            np.testing.assert_allclose(pts.mu_max, mu_max, rtol=1e-13)
 
     def test_parallel_bitwise_vs_chunked_serial(self, rng):
-        _, fused = make_engines(2, 6)
+        fused = make_engine(2, 6)
         state = random_state(fused.kinematic, fused.thermodynamic, rng)
         with ZoneParallelExecutor(fused, workers=2) as ex:
             par = ex.compute(state)
@@ -100,7 +107,7 @@ class TestEngineParity:
             assert par.dt_est == pytest.approx(serial.dt_est, rel=1e-13)
 
     def test_parallel_executor_double_buffering(self, rng):
-        _, fused = make_engines(2, 4)
+        fused = make_engine(2, 4)
         s1 = random_state(fused.kinematic, fused.thermodynamic, rng)
         s2 = random_state(fused.kinematic, fused.thermodynamic, rng)
         with ZoneParallelExecutor(fused, workers=2) as ex:
@@ -136,7 +143,7 @@ class TestAllocationDiscipline:
         assert ws.get("frozen", (3,)).flags.writeable  # thawed on reuse
 
     def test_engine_steady_state_buffer_ids_stable(self, rng):
-        fused = make_engines(2, 5, fused_only=True)
+        fused = make_engine(2, 5)
         states = [
             random_state(fused.kinematic, fused.thermodynamic, rng) for _ in range(2)
         ]
@@ -251,14 +258,14 @@ class TestSumfactAllocationDiscipline:
 
 class TestGeometryCacheGuards:
     def test_cached_geometry_is_reused_per_x(self, rng):
-        fused = make_engines(2, 4, fused_only=True)
+        fused = make_engine(2, 4)
         state = random_state(fused.kinematic, fused.thermodynamic, rng)
         geo1 = fused.point_geometry(state.x)
         geo2 = fused.point_geometry(state.x)
         assert geo1 is geo2  # same x array -> same cached evaluation
 
     def test_cached_geometry_is_read_only(self, rng):
-        fused = make_engines(2, 4, fused_only=True)
+        fused = make_engine(2, 4)
         state = random_state(fused.kinematic, fused.thermodynamic, rng)
         result = fused.compute(state)
         geo = result.geometry
@@ -267,7 +274,7 @@ class TestGeometryCacheGuards:
                 arr[(0,) * arr.ndim] = 0.0
 
     def test_two_recent_geometries_stay_live(self, rng):
-        fused = make_engines(2, 4, fused_only=True)
+        fused = make_engine(2, 4)
         s1 = random_state(fused.kinematic, fused.thermodynamic, rng)
         s2 = random_state(fused.kinematic, fused.thermodynamic, rng)
         g1 = fused.point_geometry(s1.x)
@@ -362,6 +369,31 @@ class TestAppendBenchRecord:
             append_bench_record({"a": 1}, path)
         append_bench_record({"b": 2}, path)
         assert len(json.loads(path.read_text())) == 2
+
+    def test_commit_stamp_marks_uncommitted_changes(self, tmp_path):
+        import subprocess
+
+        from repro.analysis.record import _git_commit
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=tmp_path, check=True, capture_output=True, text=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("1")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "init")
+        head = git("rev-parse", "--short", "HEAD")
+        (tmp_path / "untracked.txt").write_text("x")
+        _git_commit.cache_clear()
+        assert _git_commit(tmp_path) == head  # untracked files do not count
+        (tmp_path / "tracked.txt").write_text("2")
+        _git_commit.cache_clear()
+        assert _git_commit(tmp_path) == f"{head}-dirty"
+        _git_commit.cache_clear()
 
     def test_wraps_legacy_non_list_history(self, tmp_path):
         import json

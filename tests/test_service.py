@@ -439,15 +439,17 @@ class TestFleetSmoke:
 
     def test_smoke_recovers_submit_records_that_carry_engine(self, tmp_path):
         # Submit records journaled while RunConfig still had `engine` and
-        # `rank_step` fields carry them in their config; they must
-        # recover, with `engine="legacy"` mapped to the backend it
-        # resolved to and `rank_step` dropped whatever its value.
+        # `rank_step` fields, or while `cpu-serial` was a backend, carry
+        # them in their config; they must recover, with `engine` and
+        # `rank_step` dropped whatever their value and `cpu-serial`
+        # mapped to `cpu-fused`.
         journal = tmp_path / "journal.jsonl"
         old = JobJournal(journal)
         for job_id, key, value, workers in (
                 ("fused", "engine", "fused", 0),
                 ("legacy", "engine", "legacy", 0),
                 ("legacy-workers", "engine", "legacy", 2),
+                ("serial", "backend", "cpu-serial", 0),
                 ("auto", "rank_step", "auto", 0),
                 ("loop", "rank_step", "loop", 0),
                 ("vectorized", "rank_step", "vectorized", 0)):
@@ -459,8 +461,9 @@ class TestFleetSmoke:
         recovered = {h.job_id: h.spec.config for h in fleet.recovered}
         assert recovered == {
             "fused": TINY,
-            "legacy": TINY.replace(backend="cpu-serial"),
+            "legacy": TINY,
             "legacy-workers": TINY.replace(workers=2),
+            "serial": TINY.replace(backend="cpu-fused"),
             "auto": TINY,
             "loop": TINY,
             "vectorized": TINY,

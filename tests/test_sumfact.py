@@ -144,7 +144,7 @@ def make_engine_pair(order: int, nz1d: int):
     geo0 = GeometryEvaluator(h1, quad).evaluate(h1.node_coords)
     rho0 = np.ones((mesh.nzones, quad.nqp))
     args = (h1, l2, quad, GammaLawEOS(), rho0, geo0)
-    return ForceEngine(*args, fused=True), SumfactForceEngine(*args)
+    return ForceEngine(*args), SumfactForceEngine(*args)
 
 
 def random_state(h1, l2, rng) -> HydroState:
@@ -187,13 +187,6 @@ class TestEngineParity:
             sumfact.force_times_one(np.array(Fz)),
             fused.force_times_one(Fz), rtol=0, atol=0,
         )
-
-    def test_keep_az_falls_back_to_legacy_route(self, rng):
-        fused, sumfact = make_engine_pair(2, 4)
-        state = random_state(fused.kinematic, fused.thermodynamic, rng)
-        res = sumfact.compute(state, keep_az=True)
-        assert res.Az is not None  # debug route still materializes Az
-        np.testing.assert_allclose(res.Fz, fused.compute(state).Fz, **PARITY)
 
 
 class TestProblemRegistryParity:

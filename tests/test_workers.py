@@ -40,7 +40,7 @@ def make_fused_engine(order: int, nz1d: int) -> ForceEngine:
     quad = tensor_quadrature(2, 2 * order)
     geo0 = GeometryEvaluator(h1, quad).evaluate(h1.node_coords)
     rho0 = np.ones((mesh.nzones, quad.nqp))
-    return ForceEngine(h1, l2, quad, GammaLawEOS(), rho0, geo0, fused=True)
+    return ForceEngine(h1, l2, quad, GammaLawEOS(), rho0, geo0)
 
 
 def random_state(h1: H1Space, l2, rng) -> HydroState:
