@@ -105,9 +105,11 @@ class _VecPlan:
     prepared over them, released when the partition is rebuilt.
     `scat_idx` maps each (zone-dof) entry that lands on an interface
     dof to its flat (rank, iface-position) slot; `scat_src` selects the
-    matching rows of the zone-local RHS. The interface-zone mass blocks
-    power the momentum matvec's per-rank interface partials without
-    per-rank operators.
+    matching rows of the zone-local RHS. `rhs_rows` is the global dof
+    of every (zone, dof) row of the two phases' zone-local RHS, interface
+    zones first, so the momentum RHS is one `np.bincount` per component.
+    The interface-zone mass blocks power the momentum matvec's per-rank
+    interface partials without per-rank operators.
     """
 
     ifz: np.ndarray        # interface zones, rank-major concat
@@ -119,6 +121,7 @@ class _VecPlan:
     scat_idx: np.ndarray   # flat rank * n_iface + iface_pos, masked entries
     scat_src: np.ndarray   # rows into (n_ifz * ndof_per_zone) flattened arrays
     ldof_ifz: np.ndarray   # (n_ifz, ndof_per_zone) dof map of interface zones
+    rhs_rows: np.ndarray   # ((n_ifz + n_inz) * ndof_per_zone,) global dofs
     mass_blocks: np.ndarray  # (n_ifz, ndz, ndz) interface-zone mass blocks
     sub_if: ZoneSubset     # engine subset over `ifz`
     sub_in: ZoneSubset     # engine subset over `inz`
@@ -216,6 +219,7 @@ class DistributedBackend:
         self.momentum: "MomentumSolver | None" = None
         self._iface_dofs: np.ndarray | None = None
         self._vec_plan: _VecPlan | None = None
+        self._fz_slot = 0
         self._schedule_fired: set[int] = set()
         #: (step, nranks, reason) transitions, surfaced in the manifest.
         self.rank_history: list[dict] = []
@@ -370,6 +374,8 @@ class DistributedBackend:
         blocks = np.einsum(
             "zk,ki,kj->zij", action.qp_weights[ifz], action.basis, action.basis
         )
+        sub_if = self.engine.prepare_subset(ifz)
+        sub_in = self.engine.prepare_subset(inz)
         return _VecPlan(
             ifz=ifz,
             inz=inz,
@@ -380,9 +386,10 @@ class DistributedBackend:
             scat_idx=scat_idx,
             scat_src=scat_src,
             ldof_ifz=ldof_ifz,
+            rhs_rows=np.concatenate([sub_if.ldof.ravel(), sub_in.ldof.ravel()]),
             mass_blocks=blocks,
-            sub_if=self.engine.prepare_subset(ifz),
-            sub_in=self.engine.prepare_subset(inz),
+            sub_if=sub_if,
+            sub_in=sub_in,
         )
 
     # -- The distributed corner force ----------------------------------------
@@ -409,21 +416,26 @@ class DistributedBackend:
         overwrite of the interface rows with the collective's sum is
         the group sum of the ranks' partials. Each phase's result
         carries its per-zone dt minima, so dt costs one CFL pass per
-        phase.
+        phase. The stack, the zone-local and global RHS and the full
+        F_z live in the engine's workspace; F_z and the RHS alternate
+        between two buffers, so the two most recent results stay live.
         """
-        sol = self.solver
-        kin = sol.kinematic
+        kin = self.solver.kinematic
         ndof, dim = kin.ndof, kin.dim
         plan = self._vec_plan
         comm = self.comm
         engine = self.engine
+        ws = engine.workspace
+        n_if = plan.ifz.size
+        fz_shape = engine._fz_shape
 
         # Phase 1: all interface zones, one batched evaluation.
         res_if = engine.compute_subset(state, plan.sub_if)
         if not res_if.valid:
             return ForceResult(None, None, None, 0.0, valid=False)
-        stacked = np.zeros((self.nranks, plan.n_iface, dim))
-        rhs_if = engine.force_times_one(res_if.Fz).reshape(-1, dim)
+        rhs_z = ws.get("dist.rhs_z", (n_if + plan.inz.size,) + fz_shape[1:3])
+        rhs_if = engine.force_times_one(res_if.Fz, out=rhs_z[:n_if]).reshape(-1, dim)
+        stacked = ws.get("dist.stacked", (self.nranks, plan.n_iface, dim))
         for d in range(dim):
             stacked[..., d] = np.bincount(
                 plan.scat_idx,
@@ -445,10 +457,13 @@ class DistributedBackend:
 
         # Momentum RHS: interface-zone then interior-zone scatter-adds
         # (rank-major), with the interface rows taken from the collective.
-        rhs = np.zeros((ndof, dim))
-        np.add.at(rhs, plan.ldof_ifz.reshape(-1), rhs_if)
-        rhs_in = engine.force_times_one(res_in.Fz).reshape(-1, dim)
-        np.add.at(rhs, plan.sub_in.ldof.reshape(-1), rhs_in)
+        slot = self._fz_slot
+        self._fz_slot = 1 - slot
+        engine.force_times_one(res_in.Fz, out=rhs_z[n_if:])
+        rhs_flat = rhs_z.reshape(-1, dim)
+        rhs = ws.get(f"dist.rhs{slot}", (ndof, dim))
+        for d in range(dim):
+            rhs[:, d] = np.bincount(plan.rhs_rows, weights=rhs_flat[:, d], minlength=ndof)
         rhs[plan.iface_dofs] = iface_sum
 
         # Per-rank dt minima over the rank axis, reduced as one batch of
@@ -458,9 +473,7 @@ class DistributedBackend:
         np.minimum.at(per_rank_dt, plan.inz_rank, res_in.dt_zones)
         dt_req = comm.iallreduce_min_batch(per_rank_dt)
 
-        Fz = np.empty(
-            (kin.mesh.nzones, kin.ndof_per_zone, dim, sol.thermodynamic.ndof_per_zone)
-        )
+        Fz = ws.get(f"dist.Fz{slot}", fz_shape)
         Fz[plan.ifz] = res_if.Fz
         Fz[plan.inz] = res_in.Fz
         dt = comm.wait(dt_req)

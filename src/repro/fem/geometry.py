@@ -3,17 +3,16 @@
 Evaluates, for every zone z and quadrature point q_k, the Jacobian
 J_z(q_k) of the (moving, curvilinear) parametric map, its determinant
 |J_z| ("local volume" in the paper) and adjugate. These are exactly the
-quantities kernels 1 and 3 produce on the GPU; here they are plain
-batched einsum contractions over the precomputed reference gradient
-tables.
+quantities kernels 1 and 3 produce on the GPU. The Jacobian is the
+basis contraction `reference_gradients`: GEMMs of the component-major
+zone coordinates against the precomputed reference gradient table, the
+one kernel the corner-force engine also runs (into workspace buffers)
+for its cached geometry and for the reference velocity gradient.
 
-Hot-path support: `evaluate_local` accepts preallocated output buffers
-(`jac_out`/`det_out`/`adj_out`) so the corner-force engine can evaluate
-geometry with zero steady-state allocations, and `GeometryAtPoints`
-instances can be frozen (read-only views) once they enter the engine's
-per-stage cache — any consumer that tries to scribble on cached geometry
-gets a loud ValueError instead of silently corrupting every other
-consumer of the same stage.
+`GeometryAtPoints` instances can be frozen (read-only views) once they
+enter the engine's per-stage cache — any consumer that tries to scribble
+on cached geometry gets a loud ValueError instead of silently corrupting
+every other consumer of the same stage.
 """
 
 from __future__ import annotations
@@ -24,7 +23,22 @@ from repro.fem.quadrature import QuadratureRule
 from repro.fem.spaces import H1Space
 from repro.linalg.smallmat import batched_adjugate, batched_det
 
-__all__ = ["GeometryEvaluator", "GeometryAtPoints"]
+__all__ = ["GeometryEvaluator", "GeometryAtPoints", "reference_gradients"]
+
+
+def reference_gradients(
+    coef: np.ndarray, grad_table: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """out[z, k, d, e] = sum_i coef[d, z, i] gradW[k, i, e], as GEMMs.
+
+    coef : (dim, nz, ndz) component-major zone coefficients (positions
+    give the Jacobians, velocities the reference velocity gradients);
+    grad_table : (nqp, ndz, dim); out : (nz, nqp, dim, dim). One
+    (nz x ndz) @ (ndz x dim) GEMM per (point, component) pair, written
+    straight into `out` through a strided view.
+    """
+    np.matmul(coef[None], grad_table[:, None], out=out.transpose(1, 2, 0, 3))
+    return out
 
 
 class GeometryAtPoints:
@@ -94,31 +108,19 @@ class GeometryEvaluator:
         xz = self.space.gather(node_coords)  # (nz, ndz, dim)
         return self.evaluate_local(xz)
 
-    def evaluate_local(
-        self,
-        xz: np.ndarray,
-        jac_out: np.ndarray | None = None,
-        det_out: np.ndarray | None = None,
-        adj_out: np.ndarray | None = None,
-    ) -> GeometryAtPoints:
+    def evaluate_local(self, xz: np.ndarray) -> GeometryAtPoints:
         """Geometry from zone-local coordinates (nz, ndz, dim).
 
-        The `*_out` buffers (hot path) must have the batched shapes
-        (nz, nqp, dim, dim) / (nz, nqp); results are bitwise identical
-        with and without them.
+        Runs the engine's Jacobian kernel on the same component-major
+        layout, so the two agree bit for bit.
         """
         xz = np.asarray(xz, dtype=np.float64)
         if xz.ndim != 3 or xz.shape[1] != self.space.ndof_per_zone:
             raise ValueError("xz must be (nzones_local, ndof_per_zone, dim)")
-        # J[z,k,d,e] = sum_i x[z,i,d] * dW_i/dX_e (q_k)
-        if jac_out is None:
-            jac = np.einsum("zid,kie->zkde", xz, self.grad_table, optimize=True)
-        else:
-            np.einsum("zid,kie->zkde", xz, self.grad_table, out=jac_out, optimize=True)
-            jac = jac_out
-        det = batched_det(jac, out=det_out)
-        adj = batched_adjugate(jac, out=adj_out)
-        return GeometryAtPoints(jac, det=det, adj=adj)
+        nz, _, dim = xz.shape
+        coef = np.ascontiguousarray(xz.transpose(2, 0, 1))
+        jac = np.empty((nz, self.quad.nqp, dim, dim))
+        return GeometryAtPoints(reference_gradients(coef, self.grad_table, jac))
 
     def physical_points(self, node_coords: np.ndarray) -> np.ndarray:
         """Quadrature point positions in physical space (nz, nqp, dim)."""

@@ -14,23 +14,27 @@ kernel 10).
 Two formulations are provided:
 
 * `ForceEngine` — the *batched* formulation of the paper's GPU redesign,
-  as a zero-allocation hot path mirroring its register-blocked kernels:
-  every stage is a vectorized contraction over all zones and quadrature
-  points at once, all einsum contraction paths are planned once at
-  construction, every intermediate writes into a `Workspace` buffer,
-  geometry is evaluated once per RK2 stage into a read-only per-`x`
-  cache, and the corner-force matrix is produced by a single fused
-  five-operand contraction. The stages run under the span labels of the
-  paper's Table 2 so the hardware cost models can meter each kernel.
-  `SumfactForceEngine` is its matrix-free, sum-factorized subclass.
+  as a zero-allocation hot path mirroring its kernels: the pointwise
+  stage (kernels 1-4: adjugates, determinants, the velocity gradient,
+  EOS, the viscosity eigenpairs and sigma_min) is closed-form
+  elementwise arithmetic over all zones and quadrature points at once,
+  and the basis contractions are GEMMs (`np.matmul`) against the
+  constant `grad_table` and B — the Jacobian and the reference velocity
+  gradient, then F_z as the paper's A_z (kernels 5/6) followed by
+  A_z B^T (kernel 7), and F^T v as a batched GEMV. Every intermediate
+  writes into a `Workspace` buffer, and geometry is evaluated once per
+  RK2 stage into a read-only per-`x` cache. The stages run under the
+  span labels of the paper's Table 2 so the hardware cost models can
+  meter each kernel. `SumfactForceEngine` is its matrix-free,
+  sum-factorized subclass.
 * `corner_force_loops` — the original CPU structure (outer loop over
   zones, inner loop over quadrature points, scalar math per point, the
   stress from `tensor_viscosity`), kept as the independently-written
   reference the batched path is validated against. The two agree to a
-  few ULPs (~1e-15 relative; the fused contractions reorder
+  few ULPs (~1e-15 relative; the batched arithmetic reorders
   mathematically-identical floating point).
 
-The fused stages also evaluate any zone subset prepared with
+The same stages also evaluate any zone subset prepared with
 `prepare_subset` (`compute_subset`): the simulated ranks' interface and
 interior phases and the zone-parallel executor's chunks all go through
 that one entry.
@@ -42,14 +46,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fem.geometry import GeometryAtPoints, GeometryEvaluator
+from repro.fem.geometry import GeometryAtPoints, GeometryEvaluator, reference_gradients
 from repro.fem.quadrature import QuadratureRule
 from repro.fem.spaces import H1Space, L2Space
 from repro.hydro.state import HydroState
 from repro.hydro.viscosity import ViscosityCoefficients, ViscosityKernel, tensor_viscosity
 from repro.hydro.workspace import Workspace
 from repro.kernels.base import span_label
-from repro.linalg.smallmat import batched_adjugate, batched_det
+from repro.linalg.smallmat import batched_adjugate, batched_det, batched_matmul
 from repro.linalg.svd_small import batched_singular_values
 from repro.telemetry.tracer import NULL_SPAN
 
@@ -65,7 +69,7 @@ __all__ = [
 
 # Table 2 span names for the kernel-aligned stages of the fused path:
 # geometry (adjugate/det/SVD), pointwise stress (EoS + grad v + viscosity),
-# and the fused A_z B^T contraction (kernels 5/6/7 in one einsum).
+# and the force assembly (A_z, then A_z B^T: kernels 5/6 and 7).
 _K_GEOMETRY = span_label(1)
 _K_STRESS = span_label(2)
 _K_FORCE = span_label(7)
@@ -139,7 +143,7 @@ class ForceEngine:
         created when omitted); subset workspaces share its arena.
     tracer : optional enabled `repro.telemetry.Tracer`; when given, the
         full-batch `compute` emits one "kernel"-category span per
-        Table 2 stage (geometry / pointwise stress / fused contraction).
+        Table 2 stage (geometry / pointwise stress / force assembly).
     """
 
     def __init__(
@@ -176,12 +180,10 @@ class ForceEngine:
         self.workspace = workspace if workspace is not None else Workspace()
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None
         self._ldof = kinematic.ldof
-        nz = kinematic.mesh.nzones
-        nqp = quad.nqp
-        ndz = kinematic.ndof_per_zone
-        ndl2 = thermodynamic.ndof_per_zone
-        dim = kinematic.dim
-        self._fz_shape = (nz, ndz, dim, ndl2)
+        self._fz_shape = (
+            kinematic.mesh.nzones, kinematic.ndof_per_zone, kinematic.dim,
+            thermodynamic.ndof_per_zone,
+        )
         # (ndl2, nqp) contiguous for the e interpolation matmul.
         self.basis_l2_T = np.ascontiguousarray(self.basis_l2.T)
         # Per-x geometry cache: two rotating slots keyed on array identity,
@@ -194,32 +196,12 @@ class ForceEngine:
         # Live subsets from `prepare_subset`, so solver retirement can
         # return their workspace leases (`release_subset` drops one).
         self.subsets: list[ZoneSubset] = []
-        # Contraction paths planned once for the fixed batch shapes
-        # (np.broadcast_to gives shape-only stand-ins, no memory).
-
-        def shaped(*shape):
-            return np.broadcast_to(np.float64(0.0), shape)
-
-        self._path_jac = np.einsum_path(
-            "zid,kie->zkde", shaped(nz, ndz, dim), self.grad_table, optimize="optimal"
-        )[0]
-        self._path_gv = np.einsum_path(
-            "zid,kir,zkre->zkde",
-            shaped(nz, ndz, dim), self.grad_table, shaped(nz, nqp, dim, dim),
-            optimize="optimal",
-        )[0]
-        self._path_fz = np.einsum_path(
-            "zkde,zkre,kir,k,jk->zidj",
-            shaped(nz, nqp, dim, dim), shaped(nz, nqp, dim, dim),
-            self.grad_table, quad.weights, self.B,
-            optimize="optimal",
-        )[0]
-        self._path_ftv = np.einsum_path(
-            "zidj,zid->zj", shaped(*self._fz_shape), shaped(nz, ndz, dim),
-            optimize="optimal",
-        )[0]
+        # Constant operands of the force GEMMs, the size of grad_table and
+        # B: gradW^T per point (a view) and the weighted (alpha_k B[j, k])^T.
+        self._grad_T = self.grad_table.transpose(0, 2, 1)[:, None]  # (nqp, 1, dim, ndz)
+        self._bw_T = np.ascontiguousarray((self.B * quad.weights).T)  # (nqp, ndl2)
+        self._minus_one = np.full(thermodynamic.ndof_per_zone, -1.0)
         self._visc_kernel = ViscosityKernel(self.viscosity, self.order)
-        self._visc_kernel.plan(nz, nqp, dim)
 
     # -- Kernel-aligned stages ---------------------------------------------
 
@@ -257,10 +239,10 @@ class ForceEngine:
         n, ndz = ldof.shape
         dim = self.kinematic.dim
         nqp = self.quad.nqp
-        xz = ws.get("xz", (n, ndz, dim))
-        np.take(x, ldof, axis=0, out=xz)
+        xc = ws.get("xc", (dim, n, ndz))
+        np.take(x.T, ldof, axis=1, out=xc)
         jac = ws.get(f"{prefix}jac", (n, nqp, dim, dim))
-        self._jacobians(xz, jac)
+        self._jacobians(xc, jac)
         det = ws.get(f"{prefix}det", (n, nqp))
         batched_det(jac, out=det)
         adj = ws.get(f"{prefix}adj", (n, nqp, dim, dim))
@@ -272,30 +254,37 @@ class ForceEngine:
             geo.set_inv(inv)
         return geo
 
-    def _jacobians(self, xz: np.ndarray, jac: np.ndarray) -> None:
-        """Kernel 1: jac[z,k,d,e] = sum_i xz[z,i,d] gradW[k,i,e]."""
-        np.einsum("zid,kie->zkde", xz, self.grad_table, out=jac, optimize=self._path_jac)
+    def _jacobians(self, xc: np.ndarray, jac: np.ndarray) -> None:
+        """Kernel 1: jac[z,k,d,e] = sum_i xc[d,z,i] gradW[k,i,e] (GEMMs)."""
+        reference_gradients(xc, self.grad_table, jac)
 
-    def force_times_one(self, Fz: np.ndarray) -> np.ndarray:
-        """Kernel 8: per-zone -F.1 contribution (before global scatter)."""
-        if Fz.shape == self._fz_shape:
-            out = self.workspace.get("rhs_mom_z", Fz.shape[:-1])
-            np.sum(Fz, axis=-1, out=out)
-            np.negative(out, out=out)
-            return out
-        return -Fz.sum(axis=-1)
+    def force_times_one(self, Fz: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Kernel 8: per-zone -F.1 contribution (before global scatter) as
+        one GEMV against -1, into `out` (default: the engine's buffer for
+        the full batch)."""
+        if out is None:
+            if Fz.shape == self._fz_shape:
+                out = self.workspace.get("rhs_mom_z", Fz.shape[:-1])
+            else:
+                out = np.empty(Fz.shape[:-1])
+        np.matmul(Fz.reshape(-1, Fz.shape[-1]), self._minus_one, out=out.reshape(-1))
+        return out
 
     def force_transpose_times_v(self, Fz: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Kernel 10: per-zone F^T v (flat L2 layout)."""
+        """Kernel 10: per-zone F^T v as one batched GEMV (flat L2 layout)."""
+        n, ndz, dim, ndl2 = Fz.shape
         if Fz.shape == self._fz_shape:
             ws = self.workspace
-            vz = ws.get("vz_energy", Fz.shape[:3])
+            vz = ws.get("vz_energy", (n, ndz, dim))
             np.take(v, self._ldof, axis=0, out=vz)
-            out = ws.get("rhs_energy_z", (Fz.shape[0], Fz.shape[-1]))
-            np.einsum("zidj,zid->zj", Fz, vz, out=out, optimize=self._path_ftv)
-            return self.thermodynamic.scatter(out)
-        vz = self.kinematic.gather(v)
-        out = np.einsum("zidj,zid->zj", Fz, vz, optimize=True)
+            out = ws.get("rhs_energy_z", (n, ndl2))
+        else:
+            vz = self.kinematic.gather(v)
+            out = np.empty((n, ndl2))
+        np.matmul(
+            vz.reshape(n, 1, ndz * dim), Fz.reshape(n, ndz * dim, ndl2),
+            out=out.reshape(n, 1, ndl2),
+        )
         return self.thermodynamic.scatter(out)
 
     def _dt_points(self, points: PointData, geo: GeometryAtPoints) -> np.ndarray:
@@ -345,14 +334,13 @@ class ForceEngine:
     def compute_subset(self, state: HydroState, subset: ZoneSubset) -> ForceResult:
         """Fused corner-force evaluation of a prepared zone subset.
 
-        The per-zone arithmetic is `compute`'s (the same stages and
-        construction-time `einsum_path`s) on the subset's gathered rows,
-        and every contraction reduces within a zone: the subset of every
-        zone in order gives the bits of the full-batch `compute`, and a
-        fixed partition gives the same bits however its subsets are
-        scheduled.
-        Other subsets agree with the full-batch rows up to the final
-        contraction's BLAS blocking (~1e-18 absolute).
+        The per-zone arithmetic is `compute`'s (the same elementwise
+        stages and GEMMs) on the subset's gathered rows, and every
+        contraction reduces within a zone: the subset of every zone in
+        order gives the bits of the full-batch `compute`, and a fixed
+        partition gives the same bits however its subsets are scheduled.
+        Other subsets agree with the full-batch rows up to the GEMMs'
+        BLAS blocking (~1e-18 absolute).
 
         `Fz` (leading dimension len(zones)), geometry and points live in
         the subset's workspace until its next evaluation; `dt_zones`
@@ -379,21 +367,26 @@ class ForceEngine:
         self, ws: Workspace, geo: GeometryAtPoints, v: np.ndarray, ldof: np.ndarray,
         ez: np.ndarray, mass_qp: np.ndarray, eos, fz_name: str, tr,
     ) -> tuple[np.ndarray, PointData]:
-        """Kernels 2/4 and the fused kernel 5/6/7 contraction into the
-        `ws` buffer `fz_name`, shared by the full batch and zone subsets:
+        """Kernels 2/4 and the kernel 5/6/7 force assembly into the `ws`
+        buffer `fz_name`, shared by the full batch and zone subsets:
         `ldof`, `ez`, `mass_qp` and `eos` are the zones' velocity gather
         rows, L2 energy coefficients, pointwise mass and EOS; `tr` gets
         one kernel span per stage (None: no spans).
 
-        F_z[z,i,d,j] = sum_k alpha_k B[j,k] sum_e sigma[z,k,d,e]
-                        sum_r gradW[k,i,r] adj(J)[z,k,r,e]
-        fuses kernels 5/6/7 into one five-operand contraction over the
-        path planned at construction — the analogue of the paper's
-        register-blocked kernel fusion (intermediates never touch
-        "off-chip" memory, i.e. fresh heap arrays).
+        The pointwise stage is elementwise over all points; the
+        contractions are GEMMs. With T = sigma adj(J)^T per point,
+
+            A_z[k,d,z,i] = sum_r T[z,k,d,r] gradW[k,i,r]  (kernels 5/6)
+            F_z[z,i,d,j] = sum_k A_z[k,d,z,i] alpha_k B[j,k]  (kernel 7)
+
+        — one GEMM per (point, component) pair, then `dim` GEMMs against
+        the weighted B, so no operator larger than `grad_table` or B
+        is ever formed.
         """
         n, nqp = geo.det.shape
         ndz, dim = ldof.shape[1], self.kinematic.dim
+        ndl2 = self._fz_shape[-1]
+        plane = ws.get("plane", (n, nqp))
         with tr.span(_K_STRESS, category="kernel") if tr else NULL_SPAN:
             rho = ws.get("rho", (n, nqp))
             np.divide(mass_qp, geo.det, out=rho)
@@ -401,23 +394,24 @@ class ForceEngine:
             np.matmul(ez, self.basis_l2_T, out=e_qp)
             p = eos.pressure(rho, e_qp)
             cs = eos.sound_speed(rho, e_qp)
-            vz = ws.get("vz", (n, ndz, dim))
-            np.take(v, ldof, axis=0, out=vz)
+            vc = ws.get("vc", (dim, n, ndz))
+            np.take(v.T, ldof, axis=1, out=vc)
+            ref_grad = ws.get("ref_grad_v", (n, nqp, dim, dim))
+            reference_gradients(vc, self.grad_table, ref_grad)
             grad_v = ws.get("grad_v", (n, nqp, dim, dim))
-            np.einsum(
-                "zid,kir,zkre->zkde", vz, self.grad_table, geo.inv,
-                out=grad_v, optimize=self._path_gv,
-            )
+            batched_matmul(ref_grad, geo.inv, grad_v, plane)
             sigma, mu_max = self._visc_kernel.compute(grad_v, geo, rho, cs, ws)
             for d in range(dim):
                 sigma[..., d, d] -= p
         Fz = ws.get(fz_name, (n,) + self._fz_shape[1:])
         with tr.span(_K_FORCE, category="kernel") if tr else NULL_SPAN:
-            np.einsum(
-                "zkde,zkre,kir,k,jk->zidj",
-                sigma, geo.adj, self.grad_table, self.quad.weights, self.B,
-                out=Fz, optimize=self._path_fz,
-            )
+            T = ws.get("T", (n, nqp, dim, dim))
+            batched_matmul(sigma, geo.adj.swapaxes(-1, -2), T, plane)
+            Az = ws.get("Az", (nqp, dim, n, ndz))
+            np.matmul(T.transpose(1, 2, 0, 3), self._grad_T, out=Az)
+            F = Fz.reshape(n * ndz, dim, ndl2)
+            for d in range(dim):
+                np.matmul(Az[:, d].reshape(nqp, n * ndz).T, self._bw_T, out=F[:, d, :])
         return Fz, PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
 
     def compute(self, state: HydroState) -> ForceResult:
@@ -502,30 +496,14 @@ class SumfactForceEngine(ForceEngine):
         # F.1 contraction reduces the L2 index analytically.
         self._b_colsum = np.ascontiguousarray(self.B.sum(axis=0))
         self._t_slot = 0
-        nz, ndz, dim, ndl2 = self._fz_shape
-        nqp = self.quad.nqp
-
-        def shaped(*shape):
-            return np.broadcast_to(np.float64(0.0), shape)
-
-        self._path_gv_point = np.einsum_path(
-            "zkdr,zkre->zkde",
-            shaped(nz, nqp, dim, dim), shaped(nz, nqp, dim, dim),
-            optimize="optimal",
-        )[0]
-        self._path_t = np.einsum_path(
-            "k,zkde,zkre->zkdr",
-            self.quad.weights, shaped(nz, nqp, dim, dim), shaped(nz, nqp, dim, dim),
-            optimize="optimal",
-        )[0]
 
     # -- kernel-aligned stages, factorized ----------------------------------
 
-    def _jacobians(self, xz: np.ndarray, jac: np.ndarray) -> None:
+    def _jacobians(self, xc: np.ndarray, jac: np.ndarray) -> None:
         """Kernel 1 factorized: jac[z,k,d,:] is the reference gradient of
         coordinate component d, contracted one 1D axis at a time."""
-        for d in range(xz.shape[-1]):
-            self._ops_h1.apply_G(xz[:, :, d], out=jac[:, :, d, :])
+        for d in range(xc.shape[0]):
+            self._ops_h1.apply_G(xc[d], out=jac[:, :, d, :])
 
     def compute(self, state: HydroState) -> ForceResult:
         """Workspace-backed factorized evaluation ending in T, not F_z."""
@@ -551,16 +529,14 @@ class SumfactForceEngine(ForceEngine):
             self._ops_l2.apply_B(ez, out=e_qp)
             p = self.eos.pressure(rho, e_qp)
             cs = self.eos.sound_speed(rho, e_qp)
-            vz = ws.get("vz", (nz, ndz, dim))
-            np.take(state.v, self._ldof, axis=0, out=vz)
+            vc = ws.get("vc", (dim, nz, ndz))
+            np.take(state.v.T, self._ldof, axis=1, out=vc)
             ref_grad = ws.get("sf.refgrad_v", (nz, nqp, dim, dim))
             for d in range(dim):
-                self._ops_h1.apply_G(vz[:, :, d], out=ref_grad[:, :, d, :])
+                self._ops_h1.apply_G(vc[d], out=ref_grad[:, :, d, :])
+            plane = ws.get("plane", (nz, nqp))
             grad_v = ws.get("grad_v", (nz, nqp, dim, dim))
-            np.einsum(
-                "zkdr,zkre->zkde", ref_grad, geo.inv,
-                out=grad_v, optimize=self._path_gv_point,
-            )
+            batched_matmul(ref_grad, geo.inv, grad_v, plane)
             sigma, mu_max = self._visc_kernel.compute(grad_v, geo, rho, cs, ws)
             for d in range(dim):
                 sigma[..., d, d] -= p
@@ -568,21 +544,18 @@ class SumfactForceEngine(ForceEngine):
         self._t_slot = 1 - slot
         T = ws.get(f"sf.T{slot}", (nz, nqp, dim, dim))
         with tr.span(_K_FORCE, category="kernel") if tr else NULL_SPAN:
-            np.einsum(
-                "k,zkde,zkre->zkdr",
-                self.quad.weights, sigma, geo.adj,
-                out=T, optimize=self._path_t,
-            )
+            batched_matmul(sigma, geo.adj.swapaxes(-1, -2), T, plane)
+            T *= self.quad.weights[:, None, None]
         points = PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
         dt_est = self.estimate_dt(points, geo)
         return ForceResult(SumfactStress(T, self._fz_shape), geo, points, dt_est, valid=True)
 
     # -- matrix-free force applications --------------------------------------
 
-    def force_times_one(self, Fz) -> np.ndarray:
+    def force_times_one(self, Fz, out: np.ndarray | None = None) -> np.ndarray:
         """Kernel 8 from T: -F.1 = -G^T (colsum(B) * T) per component."""
         if not isinstance(Fz, SumfactStress):
-            return super().force_times_one(Fz)
+            return super().force_times_one(Fz, out)
         ws = self.workspace
         nz, ndz, dim, _ = self._fz_shape
         nqp = self.quad.nqp
@@ -601,13 +574,14 @@ class SumfactForceEngine(ForceEngine):
         ws = self.workspace
         nz, ndz, dim, ndl2 = self._fz_shape
         nqp = self.quad.nqp
-        vz = ws.get("vz_energy", (nz, ndz, dim))
-        np.take(v, self._ldof, axis=0, out=vz)
+        vc = ws.get("sf.vc_energy", (dim, nz, ndz))
+        np.take(v.T, self._ldof, axis=1, out=vc)
         ref_grad = ws.get("sf.refgrad_e", (nz, nqp, dim, dim))
         for d in range(dim):
-            self._ops_h1.apply_G(vz[:, :, d], out=ref_grad[:, :, d, :])
+            self._ops_h1.apply_G(vc[d], out=ref_grad[:, :, d, :])
+        np.multiply(ref_grad, Fz.T, out=ref_grad)
         contracted = ws.get("sf.contract_e", (nz, nqp))
-        np.einsum("zkdr,zkdr->zk", Fz.T, ref_grad, out=contracted)
+        np.sum(ref_grad.reshape(nz, nqp, dim * dim), axis=-1, out=contracted)
         out = ws.get("rhs_energy_z", (nz, ndl2))
         self._ops_l2.apply_B_T(contracted, out=out)
         return self.thermodynamic.scatter(out)

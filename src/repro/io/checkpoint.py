@@ -105,7 +105,9 @@ def load_checkpoint(path: str | Path, verify: bool = True) -> dict:
     """
     path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # Open the file here so it is closed even when a truncated
+        # archive makes np.load raise before handing back the NpzFile.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             payload = {key: data[key].copy() for key in data.files}
     except (zipfile.BadZipFile, EOFError, OSError) as exc:
         raise CheckpointCorruptionError(

@@ -23,6 +23,7 @@ from repro.linalg.smallmat import (
     batched_adjugate,
     batched_det,
     batched_inverse,
+    batched_matmul,
     batched_trace,
 )
 from repro.linalg.eig import sym_eig_2x2, sym_eig_3x3, sym_eigvals
@@ -48,6 +49,7 @@ __all__ = [
     "batched_adjugate",
     "batched_det",
     "batched_inverse",
+    "batched_matmul",
     "batched_trace",
     "sym_eig_2x2",
     "sym_eig_3x3",

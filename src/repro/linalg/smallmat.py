@@ -1,4 +1,4 @@
-"""Batched determinant / adjugate / inverse of DIM x DIM matrices.
+"""Batched determinant / adjugate / inverse / product of DIM x DIM matrices.
 
 Kernel 1 of the paper (kernel_CalcAjugate_det) computes, per quadrature
 point and per thread, the adjugate and determinant of the 2x2 or 3x3
@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["batched_det", "batched_adjugate", "batched_inverse", "batched_trace"]
+__all__ = [
+    "batched_det",
+    "batched_adjugate",
+    "batched_inverse",
+    "batched_matmul",
+    "batched_trace",
+]
 
 
 def _as_square_batch(a: np.ndarray) -> np.ndarray:
@@ -89,6 +95,28 @@ def batched_inverse(a: np.ndarray) -> np.ndarray:
     if np.any(np.abs(det) < 1e-300):
         raise np.linalg.LinAlgError("singular matrix in batch")
     return batched_adjugate(a) / det[..., None, None]
+
+
+def batched_matmul(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """Per-point products out[..., d, e] = sum_r a[..., d, r] b[..., r, e].
+
+    Closed form over the (d, e) component planes: d^3 elementwise
+    multiply-adds over the whole batch instead of one small product per
+    point. `b` may be a transposed view (`adj.swapaxes(-1, -2)`); `out`
+    must not alias `a` or `b`, and `tmp` (shape out.shape[:-2]) is the
+    scratch plane for the products.
+    """
+    d = a.shape[-1]
+    for i in range(d):
+        for j in range(d):
+            o = out[..., i, j]
+            np.multiply(a[..., i, 0], b[..., 0, j], out=o)
+            for r in range(1, d):
+                np.multiply(a[..., i, r], b[..., r, j], out=tmp)
+                np.add(o, tmp, out=o)
+    return out
 
 
 def batched_trace(a: np.ndarray) -> np.ndarray:

@@ -1,10 +1,19 @@
 """Batched SVD of 2x2 and 3x3 matrices.
 
 Kernel 1 of the paper computes per-thread SVDs of the DIM x DIM Jacobian
-to extract directional length scales for the artificial viscosity. We
-obtain singular values/vectors from the symmetric eigendecomposition of
-J^T J (right vectors V, sigma^2) and recover U = J V / sigma, with a
-column-completion fallback when singular values vanish.
+to extract directional length scales for the artificial viscosity and
+the time-step control. The 2x2 singular values have a closed form that
+never squares the matrix:
+
+    sigma_max = (sqrt((a+d)^2 + (c-b)^2) + sqrt((a-d)^2 + (c+b)^2)) / 2,
+    sigma_min = |ad - bc| / sigma_max,
+
+which keeps sigma_min accurate on strongly anisotropic zones (forming
+J^T J squares their condition number) and near isotropy (where the
+det/Frobenius-norm form cancels). 3x3 singular values, and the full SVD
+in both dimensions, come from the symmetric eigendecomposition of J^T J
+(right vectors V, sigma^2), with U = J V / sigma and a column-completion
+fallback when singular values vanish.
 
 Conventions match `numpy.linalg.svd(..., full_matrices=False)` up to the
 usual sign ambiguity, except singular values are returned *ascending* to
@@ -29,11 +38,23 @@ def _check(a: np.ndarray) -> np.ndarray:
 
 
 def batched_singular_values(a: np.ndarray) -> np.ndarray:
-    """Ascending singular values of (..., d, d) batches, d in {2, 3}."""
+    """Ascending singular values of (..., d, d) batches, d in {2, 3}.
+
+    2x2 batches use the closed form of the module docstring (the zero
+    matrix gives zeros); 3x3 batches take the eigenvalues of J^T J.
+    """
     a = _check(a)
-    ata = np.swapaxes(a, -1, -2) @ a
-    w = sym_eigvals(ata)
-    return np.sqrt(np.maximum(w, 0.0))
+    if a.shape[-1] == 3:
+        w = sym_eigvals(np.swapaxes(a, -1, -2) @ a)
+        return np.sqrt(np.maximum(w, 0.0))
+    a00, a01 = a[..., 0, 0], a[..., 0, 1]
+    a10, a11 = a[..., 1, 0], a[..., 1, 1]
+    smax = 0.5 * (
+        np.sqrt((a00 + a11) ** 2 + (a10 - a01) ** 2)
+        + np.sqrt((a00 - a11) ** 2 + (a10 + a01) ** 2)
+    )
+    smin = np.abs(a00 * a11 - a01 * a10) / np.maximum(smax, np.finfo(np.float64).tiny)
+    return np.stack([smin, smax], axis=-1)
 
 
 def batched_svd(a: np.ndarray, descending: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

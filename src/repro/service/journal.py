@@ -283,7 +283,7 @@ class ResultStore:
         from repro.io.checkpoint import payload_digest
 
         try:
-            with np.load(path, allow_pickle=False) as data:
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
                 payload = {k: data[k].copy() for k in data.files}
             stored = str(payload.pop(_HASH_KEY).item())
             if stored != payload_digest(payload):

@@ -1,6 +1,8 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and its warning policy."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,22 @@ import pytest
 from repro.fem.mesh import cartesian_mesh_2d, cartesian_mesh_3d
 from repro.fem.quadrature import tensor_quadrature
 from repro.fem.spaces import H1Space, L2Space
+
+
+_TESTS_DIR = Path(__file__).parent
+# A leaked file handle fails the test that leaks it: its ResourceWarning,
+# also when raised from a finalizer (pytest reports those as unraisable).
+_LEAK_FILTERS = (
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
+
+
+def pytest_collection_modifyitems(config, items):
+    for item in items:
+        if _TESTS_DIR in item.path.parents:
+            for spec in _LEAK_FILTERS:
+                item.add_marker(pytest.mark.filterwarnings(spec))
 
 
 @pytest.fixture

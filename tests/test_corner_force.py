@@ -77,6 +77,20 @@ class TestForceStructure:
         res = eng.compute(state)
         assert res.Fz.shape == (1, 27, 3, 8)  # (i*d) x j = 81 x 8
 
+    def test_3d_q4_operators_stay_table_sized(self, rng):
+        """The force GEMMs run against grad_table and the weighted B:
+        no constant array of a 3D Q4 engine outgrows grad_table plus B
+        (an assembled Kronecker operator for F_z would take ~885 MB)."""
+        eng, h1, l2 = make_engine(dim=3, k=4, nzones=1)
+        budget = eng.grad_table.nbytes + eng.B.nbytes
+        constants = [a for a in vars(eng).values() if isinstance(a, np.ndarray)]
+        assert max(a.nbytes for a in constants) <= budget
+        assert np.shares_memory(eng._grad_T, eng.grad_table)
+        state = random_state(eng, h1, l2, rng, perturb_x=0.005)
+        res = eng.compute(state)
+        assert res.valid and res.Fz.shape == (1, 125, 3, 64)
+        assert np.isfinite(res.Fz).all()
+
     def test_uniform_pressure_zero_net_force_interior(self, rng):
         """Constant pressure: F.1 assembles to zero on interior dofs
         (discrete divergence of a constant field)."""

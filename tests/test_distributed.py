@@ -373,6 +373,23 @@ class TestDistributedMechanics:
         assert [s.workspace.buffer_ids() for s in subsets] == ids
         assert [s.workspace.misses for s in subsets] == misses
 
+    def test_smoke_rank_step_buffers_steady_state(self):
+        """After warm-up the rank step's own arrays are workspace buffers:
+        F_z alternates between two fixed arrays and the arena leases
+        nothing new."""
+        cfg = RunConfig(zones=6, order=2, ranks=8)
+        solver = LagrangianHydroSolver(make_problem("triple-pt", cfg), cfg)
+        solver.run(t_final=10.0, max_steps=2)
+        compute = solver.backend.force_fn
+        warm = [compute(solver.state) for _ in range(2)]
+        allocations = solver.arena.stats()["block_allocations"]
+        for i in range(4):
+            res = compute(solver.state)
+            assert res.Fz is warm[i % 2].Fz
+            assert res.rhs_mom is warm[i % 2].rhs_mom
+        assert warm[0].Fz is not warm[1].Fz
+        assert solver.arena.stats()["block_allocations"] == allocations
+
     def test_swap_node_degrades_one_rank(self):
         solver = make_solver(nranks=2, backend="hybrid")
         backend = solver.backend

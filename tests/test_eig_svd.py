@@ -158,3 +158,28 @@ class TestSVD:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             batched_singular_values(np.ones((4, 2, 3)))
+
+
+def rotation_2d(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+
+
+class TestSingularValueAccuracy:
+    """2x2 singular values against LAPACK on Jacobians R(theta) diag(1,
+    kappa) R(phi): relative error within 1e-14 / kappa, anisotropic
+    (squaring J through J^T J would lose sigma_min there) and
+    near-isotropic alike."""
+
+    @pytest.mark.parametrize("kappa", [1e-3, 1e-6, 1.0 - 1e-9, 1.0])
+    def test_matches_lapack(self, kappa, rng):
+        theta, phi = rng.uniform(0.0, 2.0 * np.pi, (2, 200))
+        scale = 10.0 ** rng.uniform(-3.0, 1.0, 200)[:, None, None]
+        a = scale * (rotation_2d(theta) @ (np.array([1.0, kappa])[:, None] * rotation_2d(phi)))
+        s = batched_singular_values(a)
+        ref = np.sort(np.linalg.svd(a, compute_uv=False), axis=-1)
+        np.testing.assert_allclose(s, ref, rtol=1e-14 / kappa, atol=0.0)
+
+    def test_zero_and_rank_one(self):
+        a = np.array([np.zeros((2, 2)), [[1.0, 0.0], [0.0, 0.0]]])
+        np.testing.assert_array_equal(batched_singular_values(a), [[0.0, 0.0], [0.0, 1.0]])

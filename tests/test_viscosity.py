@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.fem.geometry import GeometryAtPoints
 from repro.hydro.viscosity import (
     ViscosityCoefficients,
+    ViscosityKernel,
     directional_length,
     tensor_viscosity,
 )
+from repro.hydro.workspace import Workspace
+
+PARITY = dict(rtol=1e-13, atol=1e-14)
 
 
 def uniform_jac(n, h, dim):
@@ -124,3 +129,59 @@ class TestTensorViscosity:
                 np.zeros((1, 1, 1)), np.ones((1, 1, 1)), np.ones(1), np.ones(1), 1,
                 ViscosityCoefficients(),
             )
+
+
+def rotation(dim, rng):
+    """A random proper rotation (QR of a Gaussian, det fixed to +1)."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+class TestKernelDegeneratePoints:
+    """`ViscosityKernel` against `tensor_viscosity` where the eigenpairs
+    of eps(v) degenerate: a zero gradient, a pure rotation (eps = 0),
+    isotropic compression -cI (any basis is an eigenbasis, and the
+    anisotropic Jacobians make the directional lengths depend on the
+    one chosen) and isotropic expansion, next to pure and simple shear
+    and axis-aligned compressions."""
+
+    @staticmethod
+    def gradients(dim):
+        rot = np.zeros((dim, dim))
+        rot[0, 1], rot[1, 0] = -0.7, 0.7
+        shear = np.zeros((dim, dim))
+        shear[0, 1] = shear[1, 0] = 0.4
+        simple = np.zeros((dim, dim))
+        simple[0, 1] = 0.9
+        axial = np.diag([-0.2, -1.3, -0.5][:dim])  # eps diagonal: one
+        # eigenvector candidate of sym_eig_2x2 vanishes exactly
+        return np.stack([
+            np.zeros((dim, dim)), rot, -1.3 * np.eye(dim), 0.6 * np.eye(dim),
+            shear, simple, axial, axial[::-1, ::-1],
+        ])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_reference_at_degenerate_points(self, dim, rng):
+        grads = self.gradients(dim)
+        stretch = np.diag([1.0, 0.2, 0.05][:dim])
+        jacs = [0.1 * np.eye(dim), 0.1 * stretch] + [
+            0.1 * rotation(dim, rng) @ stretch @ rotation(dim, rng) for _ in range(6)
+        ]
+        shape = (len(grads), len(jacs))
+        grad_v = np.broadcast_to(grads[:, None], shape + (dim, dim)).copy()
+        jac = np.broadcast_to(np.stack(jacs)[None], shape + (dim, dim)).copy()
+        rho = rng.random(shape) + 0.5
+        cs = rng.random(shape) + 0.5
+        coeffs = ViscosityCoefficients()
+        sigma, mu_max = ViscosityKernel(coeffs, 2).compute(
+            grad_v, GeometryAtPoints(jac), rho, cs, Workspace()
+        )
+        ref_sigma, ref_mu = tensor_viscosity(grad_v, jac, rho, cs, 2, coeffs)
+        np.testing.assert_allclose(sigma, ref_sigma, **PARITY)
+        np.testing.assert_allclose(mu_max, ref_mu, **PARITY)
+        # Only the compressions and the shears carry viscosity.
+        assert np.all(mu_max[[0, 1, 3]] == 0.0)
+        assert np.all(mu_max[[2, 4, 5, 6, 7]] > 0.0)
