@@ -257,7 +257,7 @@ def bench_rank_throughput(
     """O(100) simulated ranks must step in seconds on one host.
 
     This is the stacked rank step's reason to exist: it evaluates all
-    ranks' zones in O(1) batched calls per phase instead of O(P)
+    ranks' zones in one batched engine call instead of O(P)
     rank-local evaluations per step. The budget is wall time for the
     whole fixed step budget, setup included.
     """

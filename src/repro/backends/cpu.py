@@ -10,9 +10,8 @@ Every CPU backend can also serve as the *node* backend under
 `repro.backends.distributed.DistributedBackend`: `attach_node` builds
 its engine but no node-level executor (under `ranks` the rank is the
 parallel unit, so a cpu-parallel node evaluates in-process). The
-distributed layer then evaluates every rank's zones through the
-engine's fused zone-subset entry (`ForceEngine.compute_subset`), once
-per phase, whichever engine flavour the node built.
+distributed layer then evaluates every rank's zones in one call of the
+engine's own `compute`, whichever engine flavour the node built.
 """
 
 from __future__ import annotations

@@ -14,21 +14,21 @@ axis, so the functional layer steps O(100-1000) simulated ranks in
 seconds and reproduces the paper's Figs 12-13 weak/strong curves
 measured, not just modeled:
 
-- corner forces: every rank's zones are split into *interface* zones
-  (touching shared dofs) and *interior* zones. All ranks' interface
-  zones form one rank-major zone subset, and all interior zones
-  another, each prepared once per partition and evaluated by the
-  node engine's fused zone-subset entry (`ForceEngine.compute_subset`,
-  whatever the node's flavour). The interface phase's per-rank
-  partials land in a (nranks, n_iface, dim) stack via `np.bincount`
-  and are exchanged through one nonblocking `iallreduce_sum_stacked`,
-  posted before the interior phase, so interior-zone evaluation hides
-  the (modeled) transfer when `overlap` is on. Physics is bitwise
-  identical either way — only the `CommLedger` exposed/hidden split
-  moves.
-- time step: each phase's result carries its per-zone dt minima (one
-  CFL pass per phase); per-rank minima by `np.minimum.at`, combined
-  through `iallreduce_min_batch`.
+- corner forces: the node engine's own `compute` evaluates every zone
+  in one call, whatever the node's flavour, exactly as a single-process
+  run does. Every rank's zones are split into *interface* zones
+  (touching shared dofs) and *interior* zones; the interface zones'
+  per-rank momentum-RHS partials land in a (nranks, n_iface, dim)
+  stack via `np.bincount` and are exchanged through one
+  `iallreduce_sum_stacked`. With `overlap` on, the exchange settles
+  against a modeled window: the corner force of the rank with the
+  fewest interior zones, priced on one core of the paper's CPU, which
+  the rank would evaluate while the exchange is in flight. Physics is
+  bitwise identical either way, and the ledger reads no clock — only
+  the `CommLedger` exposed/hidden split moves.
+- time step: the result's per-zone dt minima (one CFL pass) fold into
+  per-rank minima by `np.minimum.at`, combined through
+  `iallreduce_min_batch`.
 - momentum PCG: `VectorizedDistributedMomentumSolver` applies the
   global partial-assembly `MassAction` once and replaces the interface
   rows with the sum of per-rank partials contracted from the
@@ -44,7 +44,7 @@ Resilience routes through the same object (`exclude_rank` rebuilds the
 partition; `swap_node` records a rank's degraded node after a sticky
 device fault), and when the node is hybrid it is also the in-band
 scheduler's tuning target: all ranks model identical hardware, so the
-split it prices (over the whole mesh) holds for every rank.
+split it prices over the largest rank's zones holds for every rank.
 
 Elasticity: `resize_ranks` repartitions to a new rank count mid-run
 (deterministic RCB on the initial zone centroids, traffic/ledger carried
@@ -59,12 +59,12 @@ built, not when the solver is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.config import parse_rank_schedule
-from repro.hydro.corner_force import ForceResult, ZoneSubset
+from repro.hydro.corner_force import ForceResult
 from repro.hydro.momentum import MomentumSolver
 from repro.runtime.groups import (
     DofGroups,
@@ -78,6 +78,10 @@ __all__ = [
     "DistributedBackend",
     "VectorizedDistributedMomentumSolver",
 ]
+
+#: The CPU whose single core prices the interface exchange's hiding
+#: window (`DistributedBackend._price_window`).
+WINDOW_CPU = "E5-2670"
 
 
 @dataclass
@@ -98,33 +102,28 @@ class _RankData:
 class _VecPlan:
     """Precomputed index machinery for the vectorized rank step.
 
-    Built once per partition. `ifz`/`inz` are the interface/interior
-    zones of *all* ranks concatenated rank-major (so one zone-subset
-    evaluation per phase covers every rank, and each dof accumulates
-    its zones in rank order); `sub_if`/`sub_in` are the engine subsets
-    prepared over them, released when the partition is rebuilt.
-    `scat_idx` maps each (zone-dof) entry that lands on an interface
-    dof to its flat (rank, iface-position) slot; `scat_src` selects the
-    matching rows of the zone-local RHS. `rhs_rows` is the global dof
-    of every (zone, dof) row of the two phases' zone-local RHS, interface
-    zones first, so the momentum RHS is one `np.bincount` per component.
-    The interface-zone mass blocks power the momentum matvec's per-rank
-    interface partials without per-rank operators.
+    Built once per partition. `ifz` are the interface zones of *all*
+    ranks concatenated rank-major, and `order` is `ifz` followed by the
+    interior zones, rank-major too: gathering the engine's zone-local
+    RHS by `order` puts every dof's zones in rank order. `scat_idx` maps
+    each (zone-dof) entry that lands on an interface dof to its flat
+    (rank, iface-position) slot; `scat_src` selects the matching rows of
+    the gathered zone-local RHS (all among the interface zones' leading
+    rows). `rhs_rows` is the global dof of every gathered row, so the
+    momentum RHS is one `np.bincount` per component. The interface-zone
+    mass blocks power the momentum matvec's per-rank interface partials
+    without per-rank operators.
     """
 
     ifz: np.ndarray        # interface zones, rank-major concat
-    inz: np.ndarray        # interior zones, rank-major concat
-    ifz_rank: np.ndarray   # rank of each interface zone
-    inz_rank: np.ndarray   # rank of each interior zone
+    order: np.ndarray      # ifz, then the interior zones rank-major
     iface_dofs: np.ndarray  # the shared (interface) dof ids
     n_iface: int
     scat_idx: np.ndarray   # flat rank * n_iface + iface_pos, masked entries
     scat_src: np.ndarray   # rows into (n_ifz * ndof_per_zone) flattened arrays
     ldof_ifz: np.ndarray   # (n_ifz, ndof_per_zone) dof map of interface zones
-    rhs_rows: np.ndarray   # ((n_ifz + n_inz) * ndof_per_zone,) global dofs
+    rhs_rows: np.ndarray   # (nzones * ndof_per_zone,) global dofs, `order`ed
     mass_blocks: np.ndarray  # (n_ifz, ndz, ndz) interface-zone mass blocks
-    sub_if: ZoneSubset     # engine subset over `ifz`
-    sub_in: ZoneSubset     # engine subset over `inz`
 
 
 class VectorizedDistributedMomentumSolver(MomentumSolver):
@@ -172,12 +171,13 @@ class DistributedBackend:
         rank's zones ("cpu-fused" / "cpu-sumfact" / "cpu-parallel" /
         "hybrid"). It runs in-process: under ranks the rank is the
         parallel unit, so a cpu-parallel node starts no pool.
-        Whatever its flavour, its engine evaluates the ranks' zones
-        through the fused zone-subset entry.
+        Whatever its flavour, its engine's own `compute` evaluates
+        every rank's zones in one call.
     node_kwargs : forwarded to the node backend's constructor.
     zone_rank : optional explicit zone -> rank map (default: RCB).
-    overlap : overlap the interface-dof exchange with interior-zone
-        evaluation (pricing only; physics is bitwise identical).
+    overlap : price the interface-dof exchange as hidden under the
+        modeled interior-zone compute (`window_s`); pricing only,
+        physics is bitwise identical.
     rank_schedule : optional "step:ranks,step:ranks,..." elastic-rank
         schedule, e.g. "10:8,20:3" grows to 8 ranks after step 10 and
         shrinks to 3 after step 20 (driven by the solver's step hook).
@@ -219,7 +219,10 @@ class DistributedBackend:
         self.momentum: "MomentumSolver | None" = None
         self._iface_dofs: np.ndarray | None = None
         self._vec_plan: _VecPlan | None = None
-        self._fz_slot = 0
+        self._rhs_slot = 0
+        #: Modeled seconds the interface exchange hides under (0 with
+        #: `overlap` off); priced per partition by `_price_window`.
+        self.window_s = 0.0
         self._schedule_fired: set[int] = set()
         #: (step, nranks, reason) transitions, surfaced in the manifest.
         self.rank_history: list[dict] = []
@@ -305,9 +308,8 @@ class DistributedBackend:
         """(Re)build everything derived from the zone -> rank map.
 
         Dof groups, the ranks' interface/interior split, the stacked-step
-        plan with its two engine zone subsets (the previous plan's are
-        released first, so repartitions do not accumulate workspaces),
-        and the momentum operator over them.
+        plan, the exchange's modeled hiding window, a hybrid node's
+        per-rank pricing, and the momentum operator over them.
         """
         self.groups = build_dof_groups(solver.kinematic, self.zone_rank)
         self._iface_dofs = interface_dofs(self.groups)
@@ -321,11 +323,10 @@ class DistributedBackend:
             )
             for r in range(self.nranks)
         ]
-        old = self._vec_plan
-        if old is not None:
-            self.engine.release_subset(old.sub_if)
-            self.engine.release_subset(old.sub_in)
         self._vec_plan = self._build_vec_plan(solver)
+        self.window_s = self._price_window(solver) if self.overlap else 0.0
+        if self.node.name == "hybrid":
+            self._price_hybrid_node(solver)
         self.momentum = VectorizedDistributedMomentumSolver(
             solver.mass_v,
             solver.mass_v_action,
@@ -356,10 +357,6 @@ class DistributedBackend:
             np.arange(self.nranks, dtype=np.int64),
             [r.interface_zones.size for r in self.ranks],
         )
-        inz_rank = np.repeat(
-            np.arange(self.nranks, dtype=np.int64),
-            [r.interior_zones.size for r in self.ranks],
-        )
         # dof -> interface position (or -1 for private dofs).
         pos = np.full(kin.ndof, -1, dtype=np.int64)
         pos[iface] = np.arange(n_iface, dtype=np.int64)
@@ -374,23 +371,59 @@ class DistributedBackend:
         blocks = np.einsum(
             "zk,ki,kj->zij", action.qp_weights[ifz], action.basis, action.basis
         )
-        sub_if = self.engine.prepare_subset(ifz)
-        sub_in = self.engine.prepare_subset(inz)
+        order = np.concatenate([ifz, inz])
         return _VecPlan(
             ifz=ifz,
-            inz=inz,
-            ifz_rank=ifz_rank,
-            inz_rank=inz_rank,
+            order=order,
             iface_dofs=iface,
             n_iface=n_iface,
             scat_idx=scat_idx,
             scat_src=scat_src,
             ldof_ifz=ldof_ifz,
-            rhs_rows=np.concatenate([sub_if.ldof.ravel(), sub_in.ldof.ravel()]),
+            rhs_rows=kin.ldof[order].ravel(),
             mass_blocks=blocks,
-            sub_if=sub_if,
-            sub_in=sub_in,
         )
+
+    def _price_window(self, solver) -> float:
+        """Modeled seconds the interface exchange can hide under.
+
+        All ranks post the exchange together and each evaluates its
+        interior zones while it is in flight, so the collective stays
+        exposed as long as the rank with the fewest interior zones
+        waits: the window is that rank's corner force, priced from its
+        flops on one core of `WINDOW_CPU` (the paper's Sandy Bridge part,
+        whose interconnect the default `CommCostModel` matches).
+        """
+        from repro.cpu import get_cpu
+        from repro.cpu.core_model import CPUExecutionModel
+        from repro.kernels.config import FEConfig
+        from repro.kernels.registry import corner_force_costs
+
+        n_min = min(r.interior_zones.size for r in self.ranks)
+        if n_min == 0:
+            return 0.0
+        kin = solver.kinematic
+        cfg = FEConfig(kin.dim, kin.order, n_min, solver.quad.npts_1d)
+        flops = sum(c.flops for c in corner_force_costs(cfg))
+        cpu = CPUExecutionModel(get_cpu(WINDOW_CPU), nprocs=1)
+        return cpu.corner_force_time(flops).seconds
+
+    def _price_hybrid_node(self, solver) -> None:
+        """Price the hybrid node's CPU/GPU split over one rank's zones.
+
+        In the paper each MPI task balances its own zones between CPU
+        and GPU; the largest rank sets the step, so the node prices that
+        rank's zone count. A repartition that changes the count stops
+        any in-band scheduler, as `swap_node` does: its decision priced
+        another zone count.
+        """
+        n_max = max(r.zones.size for r in self.ranks)
+        if self.node.fe_cfg.nzones == n_max:
+            return
+        self.node.price(replace(self.node.fe_cfg, nzones=n_max))
+        sched = getattr(solver, "scheduler", None)
+        if sched is not None:
+            sched.reset()
 
     # -- The distributed corner force ----------------------------------------
 
@@ -401,86 +434,59 @@ class DistributedBackend:
         return self._compute
 
     def _compute(self, state) -> ForceResult:
-        """Two-phase distributed corner-force evaluation over the rank axis.
+        """One distributed corner-force evaluation over the rank axis.
 
-        Phase 1 evaluates every rank's *interface* zones (one prepared
-        rank-major subset, through the engine's fused `compute_subset`),
-        lands the per-rank partials in a (nranks, n_iface, dim) stack
-        via `np.bincount` and posts their exchange as one
-        `iallreduce_sum_stacked`; phase 2 evaluates every rank's
-        *interior* zones the same way — with `overlap` on, while the
-        exchange is (modeled as) in flight. Only where the `wait` lands
-        differs between the overlap settings, which is exactly the
-        exposed-vs-hidden pricing split. Interior zones touch no
-        interface dofs, so the global RHS scatter-add followed by the
-        overwrite of the interface rows with the collective's sum is
-        the group sum of the ranks' partials. Each phase's result
-        carries its per-zone dt minima, so dt costs one CFL pass per
-        phase. The stack, the zone-local and global RHS and the full
-        F_z live in the engine's workspace; F_z and the RHS alternate
-        between two buffers, so the two most recent results stay live.
+        The node engine's own `compute` evaluates every zone at once, as
+        in a single process; the rank layer only routes its zone-local
+        momentum RHS. Gathered in `_VecPlan.order` (interface zones,
+        then interior zones, each rank-major), the interface zones' rows
+        land in a (nranks, n_iface, dim) stack via `np.bincount`, and
+        their exchange is one `iallreduce_sum_stacked`, settled against
+        `window_s`: the modeled interior-zone compute it hides under
+        when `overlap` is on (zero when off, so only the ledger's
+        exposed/hidden split moves). Interior zones touch no interface
+        dofs, so the global RHS scatter-add followed by the overwrite of
+        the interface rows with the collective's sum is the group sum of
+        the ranks' partials. The per-zone dt minima fold into per-rank
+        minima, reduced through one `iallreduce_min_batch`. F_z is the
+        engine's own double buffer; the stack, the gathered rows and
+        the two alternating RHS buffers live in the engine's workspace.
         """
+        engine = self.engine
+        res = engine.compute(state)
+        if not res.valid:
+            return res
         kin = self.solver.kinematic
         ndof, dim = kin.ndof, kin.dim
         plan = self._vec_plan
         comm = self.comm
-        engine = self.engine
         ws = engine.workspace
-        n_if = plan.ifz.size
-        fz_shape = engine._fz_shape
 
-        # Phase 1: all interface zones, one batched evaluation.
-        res_if = engine.compute_subset(state, plan.sub_if)
-        if not res_if.valid:
-            return ForceResult(None, None, None, 0.0, valid=False)
-        rhs_z = ws.get("dist.rhs_z", (n_if + plan.inz.size,) + fz_shape[1:3])
-        rhs_if = engine.force_times_one(res_if.Fz, out=rhs_z[:n_if]).reshape(-1, dim)
+        rz = engine.force_times_one(res.Fz)  # (nzones, ndz, dim)
+        rows = ws.get("dist.rhs_z", rz.shape)
+        np.take(rz, plan.order, axis=0, out=rows)
+        rows = rows.reshape(-1, dim)
         stacked = ws.get("dist.stacked", (self.nranks, plan.n_iface, dim))
         for d in range(dim):
             stacked[..., d] = np.bincount(
                 plan.scat_idx,
-                weights=rhs_if[plan.scat_src, d],
+                weights=rows[plan.scat_src, d],
                 minlength=self.nranks * plan.n_iface,
             ).reshape(self.nranks, plan.n_iface)
-        req = comm.iallreduce_sum_stacked(stacked)
-        if not self.overlap:
-            iface_sum = comm.wait(req)
+        iface_sum = comm.wait(comm.iallreduce_sum_stacked(stacked), window_s=self.window_s)
 
-        # Phase 2: all interior zones — the hiding window when overlapping.
-        res_in = engine.compute_subset(state, plan.sub_in)
-        if not res_in.valid:
-            if self.overlap:
-                comm.wait(req)
-            return ForceResult(None, None, None, 0.0, valid=False)
-        if self.overlap:
-            iface_sum = comm.wait(req)
-
-        # Momentum RHS: interface-zone then interior-zone scatter-adds
-        # (rank-major), with the interface rows taken from the collective.
-        slot = self._fz_slot
-        self._fz_slot = 1 - slot
-        engine.force_times_one(res_in.Fz, out=rhs_z[n_if:])
-        rhs_flat = rhs_z.reshape(-1, dim)
+        slot = self._rhs_slot
+        self._rhs_slot = 1 - slot
         rhs = ws.get(f"dist.rhs{slot}", (ndof, dim))
         for d in range(dim):
-            rhs[:, d] = np.bincount(plan.rhs_rows, weights=rhs_flat[:, d], minlength=ndof)
+            rhs[:, d] = np.bincount(plan.rhs_rows, weights=rows[:, d], minlength=ndof)
         rhs[plan.iface_dofs] = iface_sum
 
-        # Per-rank dt minima over the rank axis, reduced as one batch of
-        # scalar min-allreduces (pricing: one reduction).
         per_rank_dt = np.full(self.nranks, np.inf)
-        np.minimum.at(per_rank_dt, plan.ifz_rank, res_if.dt_zones)
-        np.minimum.at(per_rank_dt, plan.inz_rank, res_in.dt_zones)
-        dt_req = comm.iallreduce_min_batch(per_rank_dt)
-
-        Fz = ws.get(f"dist.Fz{slot}", fz_shape)
-        Fz[plan.ifz] = res_if.Fz
-        Fz[plan.inz] = res_in.Fz
-        dt = comm.wait(dt_req)
-
-        result = ForceResult(Fz, None, None, float(dt), valid=True)
-        result.rhs_mom = rhs
-        return result
+        np.minimum.at(per_rank_dt, self.zone_rank, res.dt_zones)
+        res.dt_est = float(comm.wait(comm.iallreduce_min_batch(per_rank_dt)))
+        res.rhs_mom = rhs
+        return res
 
     def _assemble_rhs(self, force) -> np.ndarray:
         """Integrator hook: the RHS was assembled during the force eval."""
@@ -492,7 +498,9 @@ class DistributedBackend:
         """The hybrid node, while no rank has been degraded; else None.
 
         All ranks model identical hardware, so the scheduler prices the
-        one node and its decision holds for every rank — the paper's
+        one node — sized to the largest rank's zones by
+        `_price_hybrid_node`, as each MPI task of the paper balances its
+        own zones — and its decision holds for every rank: the paper's
         per-task autotuner converging once per architecture, not once
         per rank. The node's `name` stays "hybrid", so `TuningCache`
         keys are shared with single-task hybrid runs.

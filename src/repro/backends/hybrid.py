@@ -85,28 +85,29 @@ class HybridBackend(_EngineBackend):
         `measure_candidate` without marching a solver; this wires the
         device models directly instead of `_post_attach`.
         """
-        from repro.cpu import get_cpu
-        from repro.gpu import get_gpu
-        from repro.runtime.hybrid import HybridExecutor
-
         self = cls(device=device, cpu=cpu)
-        self.gpu = get_gpu(device)
-        self.fe_cfg = fe_cfg
-        self._pricer = HybridExecutor(fe_cfg, get_cpu(cpu), self.gpu, nmpi=1)
-        self._reprice()
+        self.price(fe_cfg)
         return self
 
     def _post_attach(self) -> None:
+        from repro.kernels.config import FEConfig
+
+        self.price(FEConfig.from_solver(self.solver))
+
+    def price(self, fe_cfg) -> None:
+        """Price the split over `fe_cfg`'s zones, dropping every cached
+        term of the previous configuration. A single process prices its
+        whole mesh; a distributed run re-prices its node per rank."""
         from repro.cpu import get_cpu
         from repro.gpu import get_gpu
-        from repro.kernels.config import FEConfig
         from repro.runtime.hybrid import HybridExecutor
 
         self.gpu = get_gpu(self.device)
-        self.fe_cfg = FEConfig.from_solver(self.solver)
-        self._pricer = HybridExecutor(
-            self.fe_cfg, get_cpu(self.cpu_name), self.gpu, nmpi=1
-        )
+        self.fe_cfg = fe_cfg
+        self._pricer = HybridExecutor(fe_cfg, get_cpu(self.cpu_name), self.gpu, nmpi=1)
+        self._pcie_s = None
+        self._sumfact_factor = None
+        self._phase_memo = {}
         self._reprice()
 
     def tuning_target(self):

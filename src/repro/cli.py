@@ -86,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "composes with --backend (each rank runs the "
                           "selected node backend)")
     run.add_argument("--overlap", default="on", choices=("on", "off"),
-                     help="overlap the distributed interface-dof exchange "
-                          "with interior-zone computation (pricing only; "
-                          "physics is identical; default on)")
+                     help="price the distributed interface-dof exchange as "
+                          "hidden under the modeled interior-zone corner force "
+                          "(pricing only; physics is identical; default on)")
     run.add_argument("--faults", default=None, metavar="SPEC",
                      help="fault-injection schedule, e.g. 'gpu:3,state:12:blowup,"
                           "rank:2:1' (kind:occurrence[:extra], '!' suffix = sticky)")

@@ -112,9 +112,10 @@ class RunConfig:
     `workers` (see `resolved_backend`); `ranks` > 0 wraps the resolved
     backend in the simulated-MPI distributed backend (composable with
     every node backend), and `overlap` toggles whether the
-    interface-dof exchange is priced as hidden under interior-zone
-    computation. `hybrid_device` names the
-    simulated GPU pricing the hybrid split, `tuning_cache` a JSON path
+    interface-dof exchange is priced as hidden under the modeled
+    interior-zone corner force of the rank with the fewest interior
+    zones (pricing only; physics is bitwise identical). `hybrid_device`
+    names the simulated GPU pricing the hybrid split, `tuning_cache` a JSON path
     for winner persistence / warm starts, and `tune_period_steps` the
     scheduler's sampling-period length.
 

@@ -35,9 +35,9 @@ Two formulations are provided:
   mathematically-identical floating point).
 
 The same stages also evaluate any zone subset prepared with
-`prepare_subset` (`compute_subset`): the simulated ranks' interface and
-interior phases and the zone-parallel executor's chunks all go through
-that one entry.
+`prepare_subset` (`compute_subset`): the zone-parallel executor's chunks
+go through that entry. The simulated ranks evaluate through `compute`
+itself, like every single-process backend.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class ForceResult:
 
     Fz has layout (nzones, ndof_h1_zone, dim, ndof_l2_zone); the paper's
     2D matrix view flattens (i, d) into the row index (e.g. 81 x 8 for
-    3D Q2-Q1 zones). A zone-subset evaluation also carries `dt_zones`,
-    the per-zone CFL minima (dt_est is their min).
+    3D Q2-Q1 zones). `dt_zones` holds the per-zone CFL minima of the
+    evaluated zones (dt_est is their min); an invalid result has none.
     """
 
     Fz: np.ndarray
@@ -299,9 +299,16 @@ class ForceEngine:
         speed = points.sound_speed + 2.0 * points.mu_max / (points.rho * h)
         return h / np.maximum(speed, 1e-300)
 
-    def estimate_dt(self, points: PointData, geo: GeometryAtPoints) -> float:
-        """CFL-limited time step from per-point wave speeds."""
-        return float(self._dt_points(points, geo).min())
+    def _dt_result(
+        self, ws: Workspace, Fz, geo: GeometryAtPoints, points: PointData
+    ) -> ForceResult:
+        """A valid result whose `dt_zones` (in the `ws` buffer) holds the
+        per-zone minima of one `_dt_points` pass; dt_est is their min
+        (exact, so the same value as the min over every point)."""
+        dt_zones = ws.get("dt_zones", (geo.det.shape[0],))
+        np.min(self._dt_points(points, geo), axis=1, out=dt_zones)
+        return ForceResult(Fz, geo, points, float(dt_zones.min(initial=np.inf)),
+                           valid=True, dt_zones=dt_zones)
 
     def prepare_subset(self, zone_ids) -> ZoneSubset:
         """Prepare a zone subset for `compute_subset`; the engine keeps
@@ -358,10 +365,7 @@ class ForceEngine:
         Fz, points = self._fused_stages(
             ws, geo, state.v, subset.ldof, ez, subset.mass_qp, subset.eos, "Fz", None
         )
-        dt_zones = ws.get("dt_zones", (n,))
-        np.min(self._dt_points(points, geo), axis=1, out=dt_zones)
-        return ForceResult(Fz, geo, points, float(dt_zones.min(initial=np.inf)),
-                           valid=True, dt_zones=dt_zones)
+        return self._dt_result(ws, Fz, geo, points)
 
     def _fused_stages(
         self, ws: Workspace, geo: GeometryAtPoints, v: np.ndarray, ldof: np.ndarray,
@@ -416,8 +420,9 @@ class ForceEngine:
 
     def compute(self, state: HydroState) -> ForceResult:
         """Full corner-force evaluation at the given state: the per-`x`
-        cached geometry, the fused stages and a double-buffered F_z (the
-        two most recent results stay live across RK2's stages)."""
+        cached geometry, the fused stages, a double-buffered F_z (the
+        two most recent results stay live across RK2's stages) and the
+        per-zone dt minima."""
         tr = self.tracer
         with tr.span(_K_GEOMETRY, category="kernel") if tr else NULL_SPAN:
             geo = self.point_geometry(state.x)
@@ -436,8 +441,7 @@ class ForceEngine:
             self.thermodynamic.gather(state.e),  # reshape view, no copy
             self.mass_qp, self.eos, f"Fz{slot}", tr,
         )
-        dt_est = self.estimate_dt(points, geo)
-        return ForceResult(Fz, geo, points, dt_est, valid=True)
+        return self._dt_result(self.workspace, Fz, geo, points)
 
 
 class SumfactStress:
@@ -479,9 +483,9 @@ class SumfactForceEngine(ForceEngine):
     Agrees with the fused engine to contraction-reordering roundoff (the
     documented parity budget is 1e-10 relative per evaluation). The
     geometry cache and the fused `compute_subset` are inherited (over
-    the factorized Jacobians), so under ranks a sumfact node evaluates
-    its ranks' zones through the same subset entry as a `cpu-fused`
-    node, and the resilience layer composes as with the other engines.
+    the factorized Jacobians). Under ranks a sumfact node runs this
+    `compute`, as in a single process, and the resilience layer composes
+    as with the other engines.
     """
 
     sumfact = True
@@ -547,8 +551,7 @@ class SumfactForceEngine(ForceEngine):
             batched_matmul(sigma, geo.adj.swapaxes(-1, -2), T, plane)
             T *= self.quad.weights[:, None, None]
         points = PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
-        dt_est = self.estimate_dt(points, geo)
-        return ForceResult(SumfactStress(T, self._fz_shape), geo, points, dt_est, valid=True)
+        return self._dt_result(ws, SumfactStress(T, self._fz_shape), geo, points)
 
     # -- matrix-free force applications --------------------------------------
 

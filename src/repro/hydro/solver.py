@@ -307,7 +307,7 @@ class LagrangianHydroSolver:
         """Return every engine workspace lease to the arena.
 
         Covers the engine's own workspace and those of its live zone
-        subsets (rank phases, executor chunks). Only for solver
+        subsets (executor chunks). Only for solver
         retirement (service warm-pool eviction): the engine's buffers
         become invalid, but a shared arena can hand the blocks to the
         next pooled solver. A closed-but-live solver (see `close`) must

@@ -125,6 +125,23 @@ class TestCompositionMatrix:
         # All ranks model the same hardware: the one node is the target.
         assert solver.scheduler.backend is solver.backend.node
 
+    def test_hybrid_node_priced_per_rank(self):
+        """A hybrid node prices one rank's zones (the largest rank's), and
+        a repartition that changes that count re-prices it and stops the
+        in-band scheduler."""
+        cfg = RunConfig(zones=6, ranks=4, backend="hybrid", tune_period_steps=100)
+        solver = LagrangianHydroSolver(make_problem("sod", cfg), cfg)
+        backend = solver.backend
+        assert [r.zones.size for r in backend.ranks] == [7, 8, 7, 8]
+        assert backend.node.fe_cfg.nzones == 8
+        solver.run(t_final=1.0, max_steps=2)
+        assert solver.scheduler.report.steps_observed == 2
+        backend.resize_ranks(2)
+        assert backend.node.fe_cfg.nzones == max(r.zones.size for r in backend.ranks) == 15
+        solver.run(t_final=1.0, max_steps=2)
+        assert solver.scheduler.report.steps_observed == 2  # stopped
+        solver.close()
+
     def test_smoke_sticky_gpu_fault_degrades_rank_zero(self):
         """A sticky GPU fault on a hybrid fleet degrades rank 0 to
         cpu-fused and stops the scheduler; physics is unaffected."""
@@ -181,6 +198,45 @@ class TestOverlap:
         assert ledgers[True].hidden_s > ledgers[False].hidden_s
         assert ledgers[True].exposed_s < ledgers[False].exposed_s
 
+    def test_overlap_off_hides_nothing(self):
+        """Without overlap every wait is exposed: the ledger reads no
+        host clock, so not a nanosecond is booked as hidden."""
+        report = run("sedov", RunConfig(zones=6, ranks=4, max_steps=10, overlap=False))
+        ledger = report.solver.backend.comm.ledger
+        assert ledger.total_s > 0
+        assert ledger.hidden_s == 0.0
+        assert ledger.exposed_s == ledger.total_s
+
+    def test_overlap_hidden_matches_closed_form(self):
+        """With overlap each force evaluation hides min(exchange cost,
+        window) of its interface exchange and nothing else; the window
+        is the fewest-interior-zone rank's corner force on one core of
+        the paper's CPU."""
+        from repro.cpu import get_cpu
+        from repro.cpu.core_model import CPUExecutionModel
+        from repro.kernels import FEConfig
+        from repro.kernels.registry import corner_force_costs
+
+        report = run("sedov", RunConfig(zones=6, ranks=4, max_steps=10))
+        solver = report.solver
+        backend = solver.backend
+        n_min = min(r.interior_zones.size for r in backend.ranks)
+        flops = sum(c.flops for c in corner_force_costs(FEConfig(2, 2, n_min)))
+        window = CPUExecutionModel(get_cpu("E5-2670"), nprocs=1).corner_force_time(flops).seconds
+        assert backend.window_s == window > 0
+        exchange = backend.comm.cost_model.allreduce_time(
+            backend.nranks, backend._iface_dofs.size * solver.kinematic.dim * 8
+        )
+        expected = report.result.workload.force_evals * min(exchange, window)
+        assert backend.comm.ledger.hidden_s == pytest.approx(expected, rel=1e-12)
+
+    def test_ledger_repeats_exactly(self):
+        ledgers = []
+        for _ in range(2):
+            report = run("sedov", RunConfig(zones=6, ranks=4, max_steps=10))
+            ledgers.append(report.solver.backend.comm.ledger)
+        assert ledgers[0] == ledgers[1]
+
 
 class TestCommTelemetry:
     def test_smoke_comm_span_bytes_equal_traffic(self):
@@ -202,38 +258,45 @@ class TestCommTelemetry:
 
 
 class TestCollectiveValidation:
-    """Collectives fail fast, naming the offending rank."""
+    """Collectives fail fast on a malformed stack, naming the rank count."""
 
     def test_shape_mismatch_names_rank(self):
         comm = SimulatedComm(3)
-        with pytest.raises(ValueError, match=r"allreduce_sum: rank 2 .*shape"):
-            comm.allreduce_sum([np.zeros(4), np.zeros(4), np.zeros(5)])
+        with pytest.raises(ValueError, match=r"nranks=3, got shape \(2, 4\)"):
+            comm.iallreduce_sum_stacked(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match=r"nranks=3, got \(3, 2, 2\)"):
+            comm.iallreduce_min_batch(np.zeros((3, 2, 2)))
 
     def test_bad_dtype_names_rank(self):
         comm = SimulatedComm(2)
-        with pytest.raises(TypeError, match="allreduce_sum: rank 1"):
-            comm.allreduce_sum([np.zeros(2), np.array(["a", "b"])])
-        with pytest.raises(TypeError, match="rank 0"):
-            comm.allreduce_sum([np.zeros(2, dtype=complex), np.zeros(2)])
+        with pytest.raises(TypeError, match="allreduce_sum: .*real numeric"):
+            comm.iallreduce_sum_stacked(np.array([["a", "b"], ["c", "d"]]))
+        with pytest.raises(TypeError, match="complex"):
+            comm.iallreduce_sum_stacked(np.zeros((2, 2), dtype=complex))
 
     def test_scalar_collective_validation(self):
         comm = SimulatedComm(2)
-        with pytest.raises(ValueError, match="allreduce_min: rank 1"):
-            comm.allreduce_min([1.0, np.zeros(3)])
-        with pytest.raises(TypeError, match="allreduce_min: rank 0"):
-            comm.allreduce_min([None, 1.0])
+        with pytest.raises(ValueError, match="nranks=2"):
+            comm.iallreduce_min_batch(np.float64(1.0))
+        assert comm.traffic.reductions == 0  # nothing posted
 
     def test_contribution_count_checked(self):
         comm = SimulatedComm(3)
-        with pytest.raises(ValueError, match="per rank"):
-            comm.allreduce_sum([np.zeros(2), np.zeros(2)])
+        with pytest.raises(ValueError, match="nranks=3"):
+            comm.iallreduce_min_batch(np.zeros(2))
+        with pytest.raises(ValueError, match="nranks=3"):
+            comm.iallreduce_sum_stacked(np.zeros((4, 2)))
 
     def test_double_wait_rejected(self):
         comm = SimulatedComm(2)
-        req = comm.iallreduce_min([1.0, 2.0])
+        req = comm.iallreduce_min_batch(np.array([1.0, 2.0]))
         assert comm.wait(req) == 1.0
         with pytest.raises(RuntimeError, match="already completed"):
             comm.wait(req)
+        stacked = comm.iallreduce_sum_stacked(np.ones((2, 3)))
+        np.testing.assert_array_equal(comm.wait(stacked), [2.0, 2.0, 2.0])
+        with pytest.raises(RuntimeError, match="already completed"):
+            comm.wait(stacked)
 
 
 class TestDistributedMechanics:
@@ -313,7 +376,7 @@ class TestDistributedMechanics:
 
     def test_smoke_subset_empty(self):
         """An empty subset is a valid zero-row result; a 1-rank run (no
-        interface zones) evaluates its empty interface phase."""
+        interface zones) posts an empty interface exchange."""
         solver = make_solver(nranks=2)
         engine = solver.engine
         res = engine.compute_subset(solver.state, engine.prepare_subset([]))
@@ -326,8 +389,8 @@ class TestDistributedMechanics:
         assert dist.dt_est == one.engine.compute(one.state).dt_est
 
     def test_smoke_dt_once_per_phase(self, monkeypatch):
-        """Each phase's result carries its per-zone dt minima: one CFL
-        pass (`_dt_points`) per phase, two per evaluation."""
+        """The evaluation's result carries its per-zone dt minima: one
+        CFL pass (`_dt_points`) per evaluation."""
         solver = make_solver(nranks=4)
         engine = solver.engine
         calls = []
@@ -340,11 +403,33 @@ class TestDistributedMechanics:
         monkeypatch.setattr(engine, "_dt_points", counted)
         for _ in range(3):
             solver.backend._compute(solver.state)
-        assert len(calls) == 6
+        assert len(calls) == 3
+
+    def test_smoke_one_engine_call_per_evaluation(self, monkeypatch):
+        """A rank step is one call of the node engine's own `compute`
+        and four comm calls (post + wait of the stacked exchange and of
+        the dt minimum); the backend prepares no zone subset."""
+        solver = make_solver(nranks=4)
+        engine, comm = solver.engine, solver.backend.comm
+        calls = {"compute": 0, "comm": 0}
+
+        def counted(fn, key):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(engine, "compute", counted(engine.compute, "compute"))
+        for name in ("iallreduce_sum_stacked", "iallreduce_min_batch", "wait"):
+            monkeypatch.setattr(comm, name, counted(getattr(comm, name), "comm"))
+        for _ in range(3):
+            solver.integrator.force_fn(solver.state)
+        assert calls == {"compute": 3, "comm": 12}
+        assert engine.subsets == []
 
     def test_smoke_subset_workspaces_do_not_leak(self):
-        """Repartitions release the old partition's subsets: live arena
-        leases stay flat over run/reset cycles with elastic resizes, and
+        """The rank step prepares no zone subset: live arena leases stay
+        flat over run/reset cycles with elastic resizes, and
         `release_workspaces` returns every one of them."""
         solver = make_solver(nranks=4, zones=6, rank_schedule="3:8,6:2")
         live = []
@@ -355,23 +440,23 @@ class TestDistributedMechanics:
             assert [h["nranks"] for h in solver.backend.rank_history] == [8, 2]
             live.append(solver.arena.stats()["live_leases"])
         assert live == [live[0]] * 3
-        assert len(solver.engine.subsets) == 2
+        assert solver.engine.subsets == []
         solver.release_workspaces()
         assert solver.arena.stats()["live_leases"] == 0
 
     def test_smoke_subset_steady_state_buffer_ids_stable(self):
-        """After warm-up the rank phases' subset workspaces are reused:
-        no new buffers, no misses."""
+        """The rank step prepares no zone subset, and after warm-up the
+        engine workspace it evaluates in is reused: no new buffers, no
+        misses."""
         cfg = RunConfig(zones=6, order=2, ranks=8)
         solver = LagrangianHydroSolver(make_problem("triple-pt", cfg), cfg)
         solver.run(t_final=10.0, max_steps=2)
-        subsets = list(solver.engine.subsets)
-        ids = [s.workspace.buffer_ids() for s in subsets]
-        misses = [s.workspace.misses for s in subsets]
+        ws = solver.engine.workspace
+        ids, misses = ws.buffer_ids(), ws.misses
         solver.run(t_final=10.0, max_steps=4)
-        assert solver.engine.subsets == subsets
-        assert [s.workspace.buffer_ids() for s in subsets] == ids
-        assert [s.workspace.misses for s in subsets] == misses
+        assert solver.engine.subsets == []
+        assert ws.buffer_ids() == ids
+        assert ws.misses == misses
 
     def test_smoke_rank_step_buffers_steady_state(self):
         """After warm-up the rank step's own arrays are workspace buffers:
@@ -456,9 +541,9 @@ class TestVectorizedRankStep:
             )
 
     def test_force_phase_matches_serial_engine(self):
-        # The stacked evaluation (interface and interior concats) against
-        # the serial engine (whole mesh) on the same state: only batching
-        # layout reorders the floating-point sums.
+        # The rank step runs the serial engine's own `compute`, so F_z is
+        # bit for bit the serial one; only the RHS assembly's rank-major
+        # accumulation reorders the floating-point sums.
         serial = LagrangianHydroSolver(SedovProblem(dim=2, order=2, zones_per_dim=4))
         rs = serial.integrator.force_fn(serial.state)
         Fz = rs.Fz.copy()
@@ -466,7 +551,7 @@ class TestVectorizedRankStep:
         for nranks in (2, 4):
             dist = make_solver(nranks=nranks)
             rd = dist.integrator.force_fn(dist.state)
-            np.testing.assert_allclose(rd.Fz, Fz, rtol=1e-13, atol=1e-14)
+            np.testing.assert_array_equal(rd.Fz, Fz)
             np.testing.assert_allclose(rd.rhs_mom, rhs, rtol=1e-13, atol=1e-14)
             assert rd.dt_est == pytest.approx(rs.dt_est, rel=1e-13)
 

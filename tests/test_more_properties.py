@@ -58,9 +58,9 @@ class TestCommProperties:
     @settings(max_examples=25, deadline=None)
     def test_allreduce_min_is_global_min(self, nranks, seed):
         rng = np.random.default_rng(seed)
-        vals = rng.standard_normal(nranks).tolist()
+        vals = rng.standard_normal(nranks)
         comm = SimulatedComm(nranks)
-        assert comm.allreduce_min(vals) == min(vals)
+        assert comm.wait(comm.iallreduce_min_batch(vals)) == min(vals.tolist())
 
     @given(nranks=st.integers(2, 16), nbytes=st.floats(8, 1e6))
     @settings(max_examples=25, deadline=None)
@@ -74,10 +74,10 @@ class TestCommProperties:
         """The collective result is independent of contribution order
         up to roundoff (commutativity of the reduction)."""
         rng = np.random.default_rng(seed)
-        arrays = [rng.standard_normal(7) for _ in range(nranks)]
+        stacked = rng.standard_normal((nranks, 7))
         comm = SimulatedComm(nranks)
-        a = comm.allreduce_sum(arrays)
-        b = comm.allreduce_sum(arrays[::-1])
+        a = comm.wait(comm.iallreduce_sum_stacked(stacked))
+        b = comm.wait(comm.iallreduce_sum_stacked(stacked[::-1]))
         assert np.allclose(a, b, atol=1e-12)
 
 

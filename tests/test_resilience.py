@@ -40,7 +40,6 @@ from repro.resilience import (
 )
 from repro.runtime.hybrid import HybridExecutor
 from repro.runtime.instrumentation import PhaseTimers
-from repro.runtime.mpi_sim import SimulatedComm
 
 
 def sedov():
@@ -291,27 +290,7 @@ class TestRestartEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Mailbox hygiene + timers (satellites)
-
-
-class TestMailboxHygiene:
-    def test_recv_empty_names_ranks_and_tag(self):
-        comm = SimulatedComm(3)
-        comm.send(np.ones(2), 0, 2, tag=7)
-        with pytest.raises(RuntimeError, match=r"rank 1 to rank 2.*tag 9"):
-            comm.recv(1, 2, tag=9)
-
-    def test_recv_validates_ranks(self):
-        comm = SimulatedComm(2)
-        with pytest.raises(ValueError, match="src rank 5"):
-            comm.recv(5, 0)
-        with pytest.raises(ValueError, match="dest rank -1"):
-            comm.recv(0, -1)
-
-    def test_send_validates_ranks(self):
-        comm = SimulatedComm(2)
-        with pytest.raises(ValueError, match="out of range"):
-            comm.send(np.ones(1), 0, 9)
+# Timers (satellites)
 
 
 class TestPhaseTimers:

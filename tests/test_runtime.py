@@ -19,43 +19,35 @@ from repro.runtime.mpi_sim import CommCostModel, SimulatedComm
 class TestSimulatedComm:
     def test_allreduce_min(self):
         comm = SimulatedComm(4)
-        assert comm.allreduce_min([0.3, 0.1, 0.5, 0.2]) == 0.1
+        req = comm.iallreduce_min_batch(np.array([0.3, 0.1, 0.5, 0.2]))
+        assert comm.wait(req) == 0.1
         assert comm.traffic.reductions == 1
 
     def test_allreduce_sum(self, rng):
         comm = SimulatedComm(3)
         arrs = [rng.standard_normal(5) for _ in range(3)]
-        out = comm.allreduce_sum(arrs)
+        out = comm.wait(comm.iallreduce_sum_stacked(np.stack(arrs)))
         assert np.allclose(out, sum(arrs))
 
-    def test_send_recv_fifo(self):
-        comm = SimulatedComm(2)
-        comm.send(np.array([1.0]), 0, 1)
-        comm.send(np.array([2.0]), 0, 1)
-        assert comm.recv(0, 1)[0] == 1.0
-        assert comm.recv(0, 1)[0] == 2.0
-
-    def test_recv_empty_raises(self):
-        comm = SimulatedComm(2)
-        with pytest.raises(RuntimeError):
-            comm.recv(0, 1)
-
     def test_traffic_accounting(self):
+        # One 8-byte min reduction over 4 ranks: a tree of 2 (P-1)
+        # messages, each rank but the root sending up and receiving down.
         comm = SimulatedComm(4)
-        comm.send(np.zeros(10), 0, 1)
-        assert comm.traffic.messages == 1
-        assert comm.traffic.bytes == 80
+        comm.wait(comm.iallreduce_min_batch(np.zeros(4)))
+        assert comm.traffic.messages == 6
+        assert comm.traffic.bytes == 48
+        assert comm.traffic.per_rank_dict() == {
+            r: {"messages": 2, "bytes": 16} for r in (1, 2, 3)
+        }
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SimulatedComm(0)
         comm = SimulatedComm(2)
         with pytest.raises(ValueError):
-            comm.allreduce_min([1.0])
+            comm.iallreduce_min_batch(np.array([1.0]))
         with pytest.raises(ValueError):
-            comm.send(np.zeros(1), 0, 0)
-        with pytest.raises(ValueError):
-            comm.allreduce_sum([np.zeros(2), np.zeros(3)])
+            comm.iallreduce_sum_stacked(np.zeros((3, 2)))
 
 
 class TestCommCostModel:
@@ -67,6 +59,16 @@ class TestCommCostModel:
 
     def test_single_rank_free(self):
         assert CommCostModel().allreduce_time(1, 8) == 0.0
+
+    def test_allreduce_rounds_are_ceil_log2(self):
+        # alpha = 1 s, beta = 0: the price is 2 seconds per tree round.
+        m = CommCostModel(alpha_s=1.0, beta_s_per_byte=0.0)
+        for p in range(1, 4097):
+            rounds = 0
+            while 2**rounds < p:
+                rounds += 1
+            assert m.allreduce_time(p, 8) == 2.0 * rounds
+        assert m.allreduce_time(np.int64(5), 8) == 6.0  # NumPy integers too
 
     def test_p2p_alpha_beta(self):
         m = CommCostModel(alpha_s=1e-6, beta_s_per_byte=1e-9)
