@@ -215,14 +215,10 @@ def run(problem, config: RunConfig | None = None, **overrides) -> RunReport:
     recovery = None
     try:
         if cfg.resilient:
-            driver = _build_resilience(cfg, solver, tracer)
-            rres = driver.run(t_final=cfg.t_final)
-            result = rres.result
-            recovery = rres.report
-            phase_timings = driver.timers.to_dict()
+            rres = _build_resilience(cfg, solver, tracer).run(t_final=cfg.t_final)
+            result, recovery = rres.result, rres.report
         else:
             result = solver.run(t_final=cfg.t_final)
-            phase_timings = solver.timers.to_dict()
 
         comm = getattr(solver.backend, "comm", None)
         mpi_traffic = comm.traffic if comm is not None else None
@@ -264,7 +260,6 @@ def run(problem, config: RunConfig | None = None, **overrides) -> RunReport:
     from repro.telemetry import RunManifest
 
     solver_info = {
-        "phase_timings": phase_timings,
         # The resolved (ranks, backend, workers) execution triple — what
         # actually ran, after `workers` resolved into a backend.
         "execution": cfg.resolved_execution,

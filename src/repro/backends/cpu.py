@@ -40,17 +40,14 @@ class _EngineBackend:
     def attach_node(self, solver) -> None:
         """Bind as the node backend under the distributed layer.
 
-        Builds the engine and any device pricing, but no node-level
-        executor: under `ranks`, the rank itself is the parallel unit.
+        Builds the engine, but no node-level executor (under `ranks`,
+        the rank itself is the parallel unit) and no device pricing (the
+        distributed layer prices a hybrid node per rank).
         """
         if self.engine is not None:
             raise RuntimeError(f"backend '{self.name}' is already attached")
         self.solver = solver
         self.engine = solver._make_engine(sumfact=self.sumfact)
-        self._post_attach()
-
-    def _post_attach(self) -> None:
-        """Attachment hook (device pricing)."""
 
     def finalize(self, solver) -> None:
         """Late hook, called once the solver is fully constructed.

@@ -417,10 +417,13 @@ class DistributedBackend:
         any in-band scheduler, as `swap_node` does: its decision priced
         another zone count.
         """
+        from repro.kernels.config import FEConfig
+
         n_max = max(r.zones.size for r in self.ranks)
-        if self.node.fe_cfg.nzones == n_max:
+        # The first partition finds the node unpriced (`attach_node`).
+        if self.node.fe_cfg is not None and self.node.fe_cfg.nzones == n_max:
             return
-        self.node.price(replace(self.node.fe_cfg, nzones=n_max))
+        self.node.price(replace(FEConfig.from_solver(solver), nzones=n_max))
         sched = getattr(solver, "scheduler", None)
         if sched is not None:
             sched.reset()

@@ -83,16 +83,20 @@ class HybridBackend(_EngineBackend):
 
         Offline campaigns (`repro tune campaign`, tests) need
         `measure_candidate` without marching a solver; this wires the
-        device models directly instead of `_post_attach`.
+        device models directly instead of `attach`.
         """
         self = cls(device=device, cpu=cpu)
         self.price(fe_cfg)
         return self
 
-    def _post_attach(self) -> None:
+    def attach(self, solver) -> None:
+        """Bind as the primary backend and price the split over the
+        whole mesh. (As a distributed node, `attach_node` leaves the
+        node unpriced: the distributed layer prices its largest rank.)"""
         from repro.kernels.config import FEConfig
 
-        self.price(FEConfig.from_solver(self.solver))
+        super().attach(solver)
+        self.price(FEConfig.from_solver(solver))
 
     def price(self, fe_cfg) -> None:
         """Price the split over `fe_cfg`'s zones, dropping every cached

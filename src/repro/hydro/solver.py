@@ -7,10 +7,19 @@ Implements the paper's Section 2 algorithm:
 5) min-dt reduction and assembly;    6) global momentum solve (PCG);
 7) update (v, e, x);                 8) loop until the final time.
 
+`run` is the one time loop. A resilient run is the same loop with the
+`ResilientDriver` as its guard: the driver recovers rank failures,
+inspects each accepted step before the loop records it, and rolls the
+loop back to its last snapshot on a watchdog violation.
+
 The solver carries a `WorkloadRecorder` describing exactly what was
 computed (zones, points, force evaluations, PCG iterations) so that the
 simulated CPU/GPU hardware models can meter time/power for the same run
-without re-running physics.
+without re-running physics. It is also the run's one phase record: the
+integrator returns each step's force and CG wall seconds, the solver
+books the rest of the step as "other", and a guard books its own time
+as "resilience". `WorkloadRecorder.phase_table` is what the manifest
+and `RunReport.phase_timings` show.
 
 Its one configuration is the frozen `repro.config.RunConfig`, kept as
 `solver.config`: the execution backend, the step budget, the dt and
@@ -38,7 +47,7 @@ from repro.hydro.corner_force import ForceEngine, SumfactForceEngine
 from repro.hydro.workspace import Workspace
 from repro.runtime.arena import Arena
 from repro.hydro.diagnostics import EnergyBreakdown, compute_energies
-from repro.hydro.integrator import make_integrator
+from repro.hydro.integrator import make_integrator, run_phase
 from repro.hydro.momentum import MomentumSolver
 from repro.hydro.state import HydroState
 from repro.hydro.timestep import TimestepController
@@ -64,10 +73,25 @@ class WorkloadRecorder:
     wall_force_s: float = 0.0
     wall_cg_s: float = 0.0
     wall_other_s: float = 0.0
+    wall_resilience_s: float = 0.0
 
     @property
     def pcg_iters_per_solve(self) -> float:
         return self.pcg_iterations / max(self.pcg_solves, 1)
+
+    def phase_table(self) -> dict[str, dict[str, float]]:
+        """{phase: {seconds, fraction}} over force, cg and the rest of
+        each step attempt ("other"), plus "resilience" — the guard's own
+        time — when a guard ran. The fractions sum to 1."""
+        seconds = {"force": self.wall_force_s, "cg": self.wall_cg_s,
+                   "other": self.wall_other_s}
+        if self.wall_resilience_s > 0:
+            seconds["resilience"] = self.wall_resilience_s
+        total = sum(seconds.values())
+        return {
+            name: {"seconds": s, "fraction": s / total if total > 0 else 0.0}
+            for name, s in seconds.items()
+        }
 
 
 @dataclass
@@ -179,18 +203,9 @@ class LagrangianHydroSolver:
             self.mass_v, self.mass_v_action, self.bc,
             tol=config.pcg_tol, maxiter=config.pcg_maxiter,
         )
-        from repro.runtime.instrumentation import PhaseTimers
-
         self.integrator = make_integrator(
-            config.integrator, self.engine, self.momentum, self.mass_e,
-            timers=PhaseTimers(tracer=self.tracer),
+            config.integrator, self.engine, self.momentum, self.mass_e
         )
-        # Phase timers shared with the integrator: "force" and "cg" are
-        # metered inside it, the solver adds the derived "other" phase so
-        # the breakdown (PhaseTimers.to_dict()) sums to total wall time.
-        # With a tracer attached, each metered phase is also a span.
-        self.timers = self.integrator.timers
-
         self.executor = getattr(self.backend, "executor", None)
         self.integrator.force_fn = self.backend.force_fn
 
@@ -214,7 +229,7 @@ class LagrangianHydroSolver:
         """Rewind to the just-constructed state (warm solver reuse).
 
         Rebuilds the initial fields from the problem definition, a fresh
-        dt controller and workload recorder, zeroed phase timers, and a
+        dt controller and workload recorder (the phase record), and a
         fresh in-band scheduler (which re-reads the tuning cache, so a
         pooled hybrid solver warm-starts from the previous job's
         winners). Everything expensive — spaces, quadrature, mass
@@ -234,7 +249,7 @@ class LagrangianHydroSolver:
             backend_reset()
 
         # Hybrid execution runs under the in-band scheduler: per-step
-        # hook in `_run_impl`, winners persisted through the tuning
+        # hook in `run`, winners persisted through the tuning
         # cache (warm-starting identical later runs). The backend
         # nominates its own tuning target — a single hybrid backend is
         # its own; a distributed backend nominates its one hybrid node.
@@ -283,7 +298,6 @@ class LagrangianHydroSolver:
             dim=mesh.dim,
             mass_nnz=self.mass_v.nnz,
         )
-        self.timers.reset()
 
     # -- Execution backend -------------------------------------------------------
 
@@ -397,12 +411,9 @@ class LagrangianHydroSolver:
         """
         if self.controller.dt > 0 and self._last_dt_est > 0:
             return self.controller.dt
-        before = self.timers.total("force")
-        with self.timers.measure("force"):
-            force = self.integrator.force_fn(self.state)
-        elapsed = self.timers.total("force") - before
+        force, seconds = run_phase(self.tracer, "force", self.integrator.force_fn, self.state)
         self.workload.force_evals += 1
-        self.workload.wall_force_s += elapsed
+        self.workload.wall_force_s += seconds
         if not force.valid or force.dt_est <= 0:
             raise RuntimeError("initial configuration is invalid")
         dt = self.controller.initialize(force.dt_est)
@@ -421,77 +432,95 @@ class LagrangianHydroSolver:
             return self._step_impl(dt)
 
     def _step_impl(self, dt: float) -> bool:
-        force_before = self.timers.total("force")
-        cg_before = self.timers.total("cg")
         t0 = time.perf_counter()
         result = self.integrator.step(self.state, dt)
         elapsed = time.perf_counter() - t0
-        self.workload.force_evals += result.force_evals
-        self.workload.pcg_iterations += result.pcg_iterations
-        self.workload.pcg_solves += 2 * self.state.dim  # two stages x dim
+        w = self.workload
+        w.force_evals += result.force_evals
+        w.pcg_solves += result.pcg_solves
+        w.pcg_iterations += result.pcg_iterations
         # Phase split: the integrator meters its force and CG phases;
         # everything else in the step (assembly, state updates, energy
         # RHS, validity checks) is the "other" remainder, so the three
         # buckets sum to the measured step wall time.
-        force_s = self.timers.total("force") - force_before
-        cg_s = self.timers.total("cg") - cg_before
-        other_s = max(elapsed - force_s - cg_s, 0.0)
-        self.workload.wall_force_s += force_s
-        self.workload.wall_cg_s += cg_s
-        self.workload.wall_other_s += other_s
-        self.timers.add("other", other_s)
+        w.wall_force_s += result.force_s
+        w.wall_cg_s += result.cg_s
+        w.wall_other_s += max(elapsed - result.force_s - result.cg_s, 0.0)
         if not result.accepted:
-            self.workload.rejected_steps += 1
+            w.rejected_steps += 1
             return False
         self.state = result.state
         self._last_dt_est = result.dt_est
-        self.workload.steps += 1
+        w.steps += 1
         return True
 
-    def run(self, t_final: float | None = None, max_steps: int | None = None) -> RunResult:
+    def run(self, t_final: float | None = None, max_steps: int | None = None,
+            guard=None) -> RunResult:
         """March to t_final with adaptive dt, recording diagnostics.
 
-        With a tracer attached and no span already open, the whole march
-        becomes the root "run" span; when a driver (`ResilientDriver`,
-        `repro.api.run`) already opened one, the solver nests under it.
+        `guard` is set only by `ResilientDriver.run`. The loop then runs
+        `initialize_dt` and every step through `guard.attempt` (which
+        recovers a `RankFailure` and retries the same call), arms the
+        guard with the first dt, and hands each accepted step to
+        `guard.after_step` before recording it. That returns the step
+        count the run continues from and the step's energy; a smaller
+        count is a rollback, and the loop drops the undone steps'
+        history entries.
+
+        With a tracer attached and no span already open, the whole
+        march becomes the root "run" span; when a caller
+        (`repro.api.run`) already opened one, the solver nests under it.
         """
         if self.tracer is not None and self.tracer.current is None:
             with self.tracer.span(
                 "run", category="run",
                 meta={"problem": getattr(self.problem, "name", "")},
             ):
-                return self._run_impl(t_final, max_steps)
-        return self._run_impl(t_final, max_steps)
+                return self._run_impl(t_final, max_steps, guard)
+        return self._run_impl(t_final, max_steps, guard)
 
-    def _run_impl(self, t_final: float | None, max_steps: int | None) -> RunResult:
+    def _run_impl(self, t_final: float | None, max_steps: int | None, guard) -> RunResult:
         t_final = t_final if t_final is not None else self.problem.default_t_final
         max_steps = max_steps if max_steps is not None else self.config.resolved_max_steps
+        every = self.config.energy_every
         energy_history = [self.energies()]
         dt_history: list[float] = []
-        self.initialize_dt()
+        if guard is None:
+            self.initialize_dt()
+        else:
+            guard.arm(guard.attempt(0, self.initialize_dt), energy_history[0])
         steps = 0
         while self.state.t < t_final - 1e-15 and steps < max_steps:
             dt = self.controller.propose(self._last_dt_est, self.state.t, t_final)
             if dt <= 0:
                 break
-            t0 = time.perf_counter()
-            while not self.step(dt):
+            while not (self.step(dt) if guard is None
+                       else guard.attempt(steps + 1, self.step, dt)):
                 dt = self.controller.reject()
             steps += 1
             # In-band scheduling runs between steps (outside the step
             # span): period boundaries, campaign advances, ratio moves.
             if self.scheduler is not None:
-                self.scheduler.on_step(time.perf_counter() - t0)
+                self.scheduler.on_step()
             # Backend per-step hook: the distributed backend fires
             # scheduled elastic-rank resizes here, between steps.
             backend_on_step = getattr(self.backend, "on_step", None)
             if backend_on_step is not None:
                 backend_on_step(self.workload.steps)
+            energy = None
+            if guard is not None:
+                kept, energy = guard.after_step(steps, dt)
+                if kept < steps:
+                    steps = kept
+                    del dt_history[steps:]
+                    del energy_history[1 + steps // every:]
+                    continue
             if self.config.record_dt_history:
                 dt_history.append(dt)
-            if steps % self.config.energy_every == 0:
-                energy_history.append(self.energies())
+            if steps % every == 0:
+                energy_history.append(energy if energy is not None else self.energies())
         if self.scheduler is not None:
+            # Close any open tuning_period span before the run span does.
             self.scheduler.finalize()
         if energy_history[-1].t != self.state.t:
             energy_history.append(self.energies())

@@ -1,12 +1,14 @@
 """Checkpointed auto-recovery driver for the Lagrangian solver.
 
-`ResilientDriver` wraps a `LagrangianHydroSolver` (serial or, with
-`ranks` > 0 in its `RunConfig`, distributed) and runs the time loop the
-way a production job would: snapshot the state every `checkpoint_every`
-accepted steps (in memory, optionally also to disk through the hardened
-`repro.io.checkpoint`), watch the physics invariants after every step,
-and on a fault apply the `RecoveryPolicy` — retry, GPU->CPU fallback
-(via the optional `GpuOffloadPricer`), rank exclusion, or
+`ResilientDriver` guards a `LagrangianHydroSolver` (serial or, with
+`ranks` > 0 in its `RunConfig`, distributed) the way a production job
+would. It owns no time loop: `run` calls `solver.run(..., guard=self)`,
+and the solver's one loop calls back into the driver. The driver
+snapshots the state every `checkpoint_every` accepted steps (in memory,
+optionally also to disk through the hardened `repro.io.checkpoint`),
+watches the physics invariants after every step before the loop records
+it, and on a fault applies the `RecoveryPolicy` — retry, GPU->CPU
+fallback (via the optional `GpuOffloadPricer`), rank exclusion, or
 rollback-and-replay from the last checkpoint.
 
 The run ends with a `RecoveryReport` that prices what resilience cost:
@@ -16,23 +18,24 @@ time, and the time/energy overhead relative to a fault-free hybrid run
 claim into a measurable trade-off (see
 `benchmarks/bench_resilience_overhead.py`).
 
-The driver reads the run's settings (step budget) from `solver.config`
-and starts the march with the solver's own restart-aware
-`initialize_dt`. `repro.api.run` builds it from the `RunConfig`
-resilience fields; direct construction is equally supported.
+The driver's own wall time is the run's "resilience" phase, next to
+the solver's force, cg and other phases in `WorkloadRecorder`.
+`repro.api.run` builds the driver from the `RunConfig` resilience
+fields; direct construction is equally supported.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 
 from repro.hydro.solver import RunResult
 from repro.hydro.state import HydroState
 from repro.resilience.faults import FaultInjector, RankFailure
 from repro.resilience.policy import GpuOffloadPricer, RecoveryPolicy
 from repro.resilience.watchdog import InvariantViolation, Watchdog
-from repro.runtime.instrumentation import PhaseTimers
 
 __all__ = [
     "CheckpointCostModel",
@@ -93,7 +96,6 @@ class RecoveryReport:
     nominal_time_s: float = 0.0
     nominal_energy_j: float = 0.0
     degraded_final: bool = False
-    phase_timings: dict = field(default_factory=dict)
 
     @property
     def time_overhead(self) -> float:
@@ -157,8 +159,20 @@ class _Snapshot:
     controller_dt: float
     last_dt_est: float
     steps: int
-    n_energy: int
-    n_dt: int
+
+
+def _metered(hook):
+    """Book a guard hook's wall time as the run's "resilience" phase."""
+
+    @functools.wraps(hook)
+    def metered(self, *args):
+        t0 = perf_counter()
+        try:
+            return hook(self, *args)
+        finally:
+            self.solver.workload.wall_resilience_s += perf_counter() - t0
+
+    return metered
 
 
 class ResilientDriver:
@@ -179,8 +193,7 @@ class ResilientDriver:
     checkpoint_cost : `CheckpointCostModel` for the modeled (simulated
         I/O) cost of each checkpoint in the report.
     tracer : optional enabled `repro.telemetry.Tracer` — the driver
-        then owns the root "run" span and emits instant events for
-        faults, rollbacks and checkpoints.
+        then emits instant events for faults, rollbacks and checkpoints.
     """
 
     def __init__(
@@ -194,7 +207,6 @@ class ResilientDriver:
         checkpoint_keep: int = 0,
         offload: GpuOffloadPricer | None = None,
         checkpoint_cost: CheckpointCostModel | None = None,
-        timers: PhaseTimers | None = None,
         tracer=None,
     ):
         if checkpoint_every < 1:
@@ -211,8 +223,10 @@ class ResilientDriver:
         self.offload = offload
         self.checkpoint_cost = checkpoint_cost or CheckpointCostModel()
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None
-        self.timers = timers or PhaseTimers(tracer=self.tracer)
         self.last_disk_checkpoint: Path | None = None
+        self.report = RecoveryReport()
+        self._snap: _Snapshot | None = None
+        self._high_water = 0
         # Rank-failure handling and collective fault injection route
         # through the distributed backend when the solver carries one.
         backend = solver.backend
@@ -227,15 +241,13 @@ class ResilientDriver:
 
     # -- Checkpointing -----------------------------------------------------------
 
-    def _snapshot(self, steps: int, n_energy: int, n_dt: int) -> _Snapshot:
+    def _snapshot(self, steps: int) -> _Snapshot:
         s = self.solver
         return _Snapshot(
             state=s.state.copy(),
             controller_dt=s.controller.dt,
             last_dt_est=s._last_dt_est,
             steps=steps,
-            n_energy=n_energy,
-            n_dt=n_dt,
         )
 
     def _restore(self, snap: _Snapshot) -> None:
@@ -284,192 +296,159 @@ class ResilientDriver:
         if self.tracer is not None:
             self.tracer.instant(name, category="resilience", **meta)
 
-    def _handle_rank_failure(self, fault: RankFailure, report: RecoveryReport,
-                             step: int) -> None:
+    def _handle_rank_failure(self, fault: RankFailure, step: int) -> None:
         if self._dist is None:
             raise fault
         action = self.policy.for_rank_failure(fault, self._dist.nranks)
         self._dist.exclude_rank(action.rank)
-        report.rank_exclusions += 1
+        self.report.rank_exclusions += 1
         self._instant("fault", kind="rank", step=step, rank=action.rank)
-        report.faults.append(
+        self.report.faults.append(
             FaultEvent(step, "rank", f"excluded rank {action.rank}",
                        f"{self._dist.nranks} ranks remain")
         )
 
-    # -- The run loop ------------------------------------------------------------
+    def _price_offload(self, steps: int) -> None:
+        """Price one step's corner-force offload; realize a fallback."""
+        s = self.solver
+        report = self.report
+        was_degraded = self.offload.degraded
+        pricing = self.offload.price_step()
+        report.retries += pricing.retries
+        report.offload_time_s += pricing.time_s
+        report.offload_energy_j += pricing.energy_j
+        # A degraded device prices every later step on the CPU path;
+        # only the step where the fault actually fired is a fallback
+        # *event*.
+        if pricing.fellback and not was_degraded:
+            report.fallbacks += 1
+            self._instant("fault", kind="gpu", step=steps,
+                          action="cpu-fallback", retries=pricing.retries)
+            report.faults.append(
+                FaultEvent(steps, "gpu", "cpu-fallback", f"after {pricing.retries} retries")
+            )
+            # Realize the fallback on the live solver: a hybrid backend
+            # swaps to the pure-CPU fused path (same arithmetic, no
+            # device pricing) and its scheduler stops — the split it was
+            # converging no longer describes the hardware carrying the run.
+            if s.backend.name == "hybrid":
+                s.swap_backend("cpu-fused")
+                self._instant("backend_swap", step=steps,
+                              source="hybrid", target="cpu-fused")
+                report.faults.append(
+                    FaultEvent(steps, "gpu", "backend swap",
+                               "hybrid -> cpu-fused, scheduler stopped")
+                )
+            elif self._dist is not None and self._dist.ranks[0].node_name == "hybrid":
+                # Distributed hybrid fleet: the priced offload models
+                # one device, so the sticky fault lands on rank 0 — only
+                # that rank degrades to the CPU path; the fleet
+                # scheduler stops.
+                self._dist.swap_node("cpu-fused", rank=0)
+                self._instant("backend_swap", step=steps,
+                              source="hybrid", target="cpu-fused", rank=0)
+                report.faults.append(
+                    FaultEvent(steps, "gpu", "backend swap",
+                               "rank 0 hybrid -> cpu-fused, scheduler stopped")
+                )
+        elif pricing.retries:
+            report.faults.append(
+                FaultEvent(steps, "gpu", "recovered by retry", f"{pricing.retries} retries")
+            )
+        # A replayed step was priced at nominal the first time through.
+        if steps > self._high_water:
+            self._high_water = steps
+            report.nominal_time_s += self.offload.hybrid_step_s
+            report.nominal_energy_j += self.offload.hybrid_power_w * self.offload.hybrid_step_s
+
+    def _checkpoint(self, steps: int) -> None:
+        """Take the rollback snapshot due at this step (and its disk copy)."""
+        self._snap = self._snapshot(steps)
+        self._instant("checkpoint", step=steps,
+                      to_disk=self.checkpoint_dir is not None)
+        self.report.checkpoints_written += 1
+        self.report.checkpoint_time_s += self.checkpoint_cost.write_time_s(
+            self._state_nbytes(self.solver.state)
+        )
+        if self.checkpoint_dir is not None:
+            self._write_disk_checkpoint(steps)
+
+    # -- The guard hooks the solver's loop calls ---------------------------------
+
+    def attempt(self, step: int, fn, *args):
+        """Return `fn(*args)` (`initialize_dt` or `step`), recovering each
+        `RankFailure` by excluding the failed rank and retrying the same
+        call with the same arguments. A failed call's time, lost work
+        and recovery both, is resilience time."""
+        while True:
+            t0 = perf_counter()
+            try:
+                return fn(*args)
+            except RankFailure as fault:
+                self._handle_rank_failure(fault, step)
+                self.solver.workload.wall_resilience_s += perf_counter() - t0
+
+    @_metered
+    def arm(self, dt0: float, energy0) -> None:
+        """Arm the watchdog with the run's first dt and energy and take
+        the step-0 rollback snapshot."""
+        self.watchdog.arm(energy0.total, dt0)
+        self._snap = self._snapshot(0)
+        self._high_water = 0
+
+    @_metered
+    def after_step(self, steps: int, dt: float):
+        """Inspect accepted step `steps` before the loop records it.
+
+        Injects any scheduled state corruption and runs the watchdog on
+        the step's energy. A violation restores the last snapshot (the
+        policy raises once rollbacks are exhausted); otherwise the step
+        is priced on the offload device and checkpointed when due.
+        Returns (the step count the loop continues from, the step's
+        `EnergyBreakdown`).
+        """
+        s = self.solver
+        report = self.report
+        if self.injector is not None:
+            desc = self.injector.corrupt_state(s.state, steps)
+            if desc is not None:
+                self._instant("fault", kind="state", step=steps, detail=desc)
+                report.faults.append(FaultEvent(steps, "state", "corrupted", desc))
+        energy = s.energies()
+        try:
+            self.watchdog.inspect(s.state, energy.total, dt, step=steps)
+        except InvariantViolation as viol:
+            self.policy.for_violation(report.rollbacks)  # raises when exhausted
+            snap = self._snap
+            replayed = steps - snap.steps
+            self._restore(snap)
+            report.rollbacks += 1
+            report.steps_replayed += replayed
+            self._instant("rollback", step=snap.steps, replayed=replayed,
+                          reason=viol.reason)
+            report.faults.append(
+                FaultEvent(snap.steps, "watchdog", f"rollback (-{replayed} steps)",
+                           viol.reason)
+            )
+            return snap.steps, energy
+        if self.offload is not None:
+            self._price_offload(steps)
+        if steps % self.checkpoint_every == 0:
+            self._checkpoint(steps)
+        return steps, energy
+
+    # -- The run -----------------------------------------------------------------
 
     def run(self, t_final: float | None = None, max_steps: int | None = None) -> ResilientRunResult:
         """Run to t_final under the recovery policy.
 
-        With a tracer attached (and no span already open) the whole
-        resilient run becomes the root "run" span; driver phases, the
-        solver's step/stage/kernel spans and resilience instants all
-        nest inside it.
+        The march is the solver's own `run` with this driver as its
+        guard, so a fault-free resilient run is the plain run (same
+        state, histories, rank schedule and tracer spans) plus the
+        driver's hooks and its `RecoveryReport`.
         """
-        tr = self.tracer
-        if tr is not None and tr.current is None:
-            with tr.span("run", category="run", meta={"resilient": True}):
-                return self._run_impl(t_final, max_steps)
-        return self._run_impl(t_final, max_steps)
-
-    def _run_impl(self, t_final: float | None, max_steps: int | None) -> ResilientRunResult:
-        s = self.solver
-        report = RecoveryReport()
-        t_final = t_final if t_final is not None else s.problem.default_t_final
-        max_steps = max_steps if max_steps is not None else s.config.resolved_max_steps
-
-        with self.timers.measure("initialize"):
-            while True:
-                try:
-                    dt0 = s.initialize_dt()
-                    break
-                except RankFailure as fault:
-                    self._handle_rank_failure(fault, report, step=0)
-            energy_history = [s.energies()]
-        self.watchdog.arm(energy_history[0].total, dt0)
-        dt_history: list[float] = []
-        steps = 0
-        high_water = 0
-        snapshot = self._snapshot(steps, len(energy_history), 0)
-
-        while s.state.t < t_final - 1e-15 and steps < max_steps:
-            dt = s.controller.propose(s._last_dt_est, s.state.t, t_final)
-            if dt <= 0:
-                break
-            with self.timers.measure("step"):
-                accepted = False
-                while not accepted:
-                    try:
-                        accepted = s.step(dt)
-                    except RankFailure as fault:
-                        self._handle_rank_failure(fault, report, step=steps + 1)
-                        continue
-                    if not accepted:
-                        dt = s.controller.reject()
-            steps += 1
-            # A hybrid-backend solver tunes in-band under this loop too
-            # (the driver owns the march, so it owns the step hook).
-            if s.scheduler is not None:
-                s.scheduler.on_step()
-
-            if self.injector is not None:
-                desc = self.injector.corrupt_state(s.state, steps)
-                if desc is not None:
-                    self._instant("fault", kind="state", step=steps, detail=desc)
-                    report.faults.append(FaultEvent(steps, "state", "corrupted", desc))
-
-            energy = s.energies()
-            try:
-                with self.timers.measure("watchdog"):
-                    self.watchdog.inspect(s.state, energy.total, dt, step=steps)
-            except InvariantViolation as viol:
-                self.policy.for_violation(report.rollbacks)  # raises when exhausted
-                with self.timers.measure("rollback"):
-                    replayed = steps - snapshot.steps
-                    self._restore(snapshot)
-                    steps = snapshot.steps
-                    del energy_history[snapshot.n_energy:]
-                    del dt_history[snapshot.n_dt:]
-                report.rollbacks += 1
-                report.steps_replayed += replayed
-                self._instant("rollback", step=steps, replayed=replayed,
-                              reason=viol.reason)
-                report.faults.append(
-                    FaultEvent(steps, "watchdog", f"rollback (-{replayed} steps)", viol.reason)
-                )
-                continue
-
-            energy_history.append(energy)
-            dt_history.append(dt)
-
-            if self.offload is not None:
-                was_degraded = self.offload.degraded
-                with self.timers.measure("offload"):
-                    pricing = self.offload.price_step()
-                report.retries += pricing.retries
-                report.offload_time_s += pricing.time_s
-                report.offload_energy_j += pricing.energy_j
-                # A degraded device prices every later step on the CPU
-                # path; only the step where the fault actually fired is
-                # a fallback *event*.
-                if pricing.fellback and not was_degraded:
-                    report.fallbacks += 1
-                    self._instant("fault", kind="gpu", step=steps,
-                                  action="cpu-fallback", retries=pricing.retries)
-                    report.faults.append(
-                        FaultEvent(steps, "gpu", "cpu-fallback",
-                                   f"after {pricing.retries} retries")
-                    )
-                    # Realize the fallback on the live solver: a hybrid
-                    # backend swaps to the pure-CPU fused path (same
-                    # arithmetic, no device pricing) and its scheduler
-                    # stops — the split it was converging no longer
-                    # describes the hardware carrying the run.
-                    if s.backend.name == "hybrid":
-                        s.swap_backend("cpu-fused")
-                        self._instant("backend_swap", step=steps,
-                                      source="hybrid", target="cpu-fused")
-                        report.faults.append(
-                            FaultEvent(steps, "gpu", "backend swap",
-                                       "hybrid -> cpu-fused, scheduler stopped")
-                        )
-                    elif (
-                        self._dist is not None
-                        and self._dist.ranks
-                        and self._dist.ranks[0].node_name == "hybrid"
-                    ):
-                        # Distributed hybrid fleet: the priced offload
-                        # models one device, so the sticky fault lands
-                        # on rank 0 — only that rank degrades to the CPU
-                        # path; the fleet scheduler stops.
-                        self._dist.swap_node("cpu-fused", rank=0)
-                        self._instant("backend_swap", step=steps,
-                                      source="hybrid", target="cpu-fused",
-                                      rank=0)
-                        report.faults.append(
-                            FaultEvent(steps, "gpu", "backend swap",
-                                       "rank 0 hybrid -> cpu-fused, "
-                                       "scheduler stopped")
-                        )
-                elif pricing.retries:
-                    report.faults.append(
-                        FaultEvent(steps, "gpu", "recovered by retry",
-                                   f"{pricing.retries} retries")
-                    )
-                if steps > high_water:
-                    report.nominal_time_s += self.offload.hybrid_step_s
-                    report.nominal_energy_j += (
-                        self.offload.hybrid_power_w * self.offload.hybrid_step_s
-                    )
-            high_water = max(high_water, steps)
-
-            if steps % self.checkpoint_every == 0:
-                with self.timers.measure("checkpoint"):
-                    snapshot = self._snapshot(steps, len(energy_history), len(dt_history))
-                    self._instant("checkpoint", step=steps,
-                                  to_disk=self.checkpoint_dir is not None)
-                    report.checkpoints_written += 1
-                    report.checkpoint_time_s += self.checkpoint_cost.write_time_s(
-                        self._state_nbytes(s.state)
-                    )
-                    if self.checkpoint_dir is not None:
-                        self._write_disk_checkpoint(steps)
-
-        if s.scheduler is not None:
-            # Close any open tuning_period span before the run span does.
-            s.scheduler.finalize()
-        if energy_history[-1].t != s.state.t:
-            energy_history.append(s.energies())
-        report.steps_completed = steps
-        report.degraded_final = bool(self.offload and self.offload.degraded)
-        report.phase_timings = self.timers.to_dict()
-        result = RunResult(
-            state=s.state,
-            steps=steps,
-            energy_history=energy_history,
-            dt_history=dt_history,
-            workload=s.workload,
-            reached_t_final=s.state.t >= t_final - 1e-12,
-        )
-        return ResilientRunResult(result=result, report=report)
+        self.report = RecoveryReport()
+        result = self.solver.run(t_final, max_steps, guard=self)
+        self.report.steps_completed = result.steps
+        self.report.degraded_final = bool(self.offload and self.offload.degraded)
+        return ResilientRunResult(result=result, report=self.report)

@@ -6,7 +6,9 @@ decomposition reproduces the serial physics bit-for-bit. Performance
 layer: the hybrid executor meters a solver workload on the simulated
 CPU/GPU hardware and produces the time/power/energy numbers behind the
 paper's Figures 11, 14-16 and Table 7. The memory layer (`arena`) is the
-pool allocator behind every hot-path workspace.
+pool allocator behind every hot-path workspace. Wall-clock phase timing
+lives with the solver: its `WorkloadRecorder` is the run's one phase
+record (`repro.hydro.solver`).
 
 Submodules are resolved lazily (PEP 562): `repro.runtime.arena` sits
 below `repro.hydro.workspace` in the import graph, while `parallel`/
@@ -25,7 +27,6 @@ _EXPORTS = {
     "HybridExecutor": "repro.runtime.hybrid",
     "ExecutionReport": "repro.runtime.hybrid",
     "StepBreakdown": "repro.runtime.hybrid",
-    "PhaseTimers": "repro.runtime.instrumentation",
     "ZoneParallelExecutor": "repro.runtime.parallel",
     "PersistentWorkerPool": "repro.runtime.workers",
     "WorkerError": "repro.runtime.workers",

@@ -361,7 +361,7 @@ class OnlineScheduler:
 
     # -- The per-step hook --------------------------------------------------
 
-    def on_step(self, wall_s: float = 0.0) -> None:
+    def on_step(self) -> None:
         """Advance one step; runs the period machinery at boundaries."""
         if self._state == "done":
             return

@@ -68,12 +68,6 @@ class RunManifest:
             else dict(config or {})
         )
         workload = dataclasses.asdict(result.workload)
-        phases = {}
-        timers = getattr(result, "timers", None)
-        if solver_info and "phase_timings" in solver_info:
-            phases = solver_info.pop("phase_timings")
-        elif timers is not None:
-            phases = timers.to_dict()
         energy = None
         telemetry = None
         if tracer is not None and tracer.enabled:
@@ -111,7 +105,7 @@ class RunManifest:
             energy_final=float(e1.total),
             energy_drift=float(e1.total - e0.total),
             workload=workload,
-            phases=phases,
+            phases=result.workload.phase_table(),
             energy=energy,
             recovery=recovery_dict,
             telemetry=telemetry,

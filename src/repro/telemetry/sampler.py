@@ -39,7 +39,6 @@ DEFAULT_PHASE_UTILIZATION = {
     "cg": 1.0,
     "step": 0.6,
     "stage": 0.6,
-    "initialize": 0.6,
     "run": 0.15,
     "category:kernel": 1.0,
     "category:phase": 1.0,

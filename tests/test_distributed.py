@@ -142,6 +142,28 @@ class TestCompositionMatrix:
         assert solver.scheduler.report.steps_observed == 2  # stopped
         solver.close()
 
+    def test_smoke_hybrid_node_priced_once(self, monkeypatch):
+        """Construction prices a hybrid backend once: a single process
+        over its whole mesh, a distributed node over its largest rank."""
+        from repro.backends.hybrid import HybridBackend
+
+        priced = []
+        price = HybridBackend.price
+
+        def counted(self, fe_cfg):
+            priced.append(fe_cfg.nzones)
+            price(self, fe_cfg)
+
+        monkeypatch.setattr(HybridBackend, "price", counted)
+        cfg = RunConfig(zones=6, backend="hybrid")
+        solver = LagrangianHydroSolver(make_problem("triple-pt", cfg), cfg)
+        assert priced == [72]
+        solver.close()
+        priced.clear()
+        solver = LagrangianHydroSolver(make_problem("triple-pt", cfg), cfg.replace(ranks=8))
+        assert priced == [max(r.zones.size for r in solver.backend.ranks)] == [9]
+        solver.close()
+
     def test_smoke_sticky_gpu_fault_degrades_rank_zero(self):
         """A sticky GPU fault on a hybrid fleet degrades rank 0 to
         cpu-fused and stops the scheduler; physics is unaffected."""

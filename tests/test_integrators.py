@@ -70,3 +70,31 @@ class TestFactory:
         _, res, _ = run_with("euler", t_final=0.02)
         # initialize_dt adds one; each step adds exactly one.
         assert res.workload.force_evals == res.steps + 1
+
+
+class TestSolveCounts:
+    """`WorkloadRecorder.pcg_solves` counts what the integrator ran: one
+    PCG solve per velocity component of every momentum solve."""
+
+    @pytest.mark.parametrize("name, solves_per_step", [
+        ("euler", 1), ("rk2avg", 2), ("rk4", 4),
+    ])
+    def test_pcg_solves_match_what_ran(self, name, solves_per_step):
+        p = SedovProblem(dim=2, order=2, zones_per_dim=4)
+        s = LagrangianHydroSolver(p, RunConfig(integrator=name))
+        ran = {"solves": 0, "iterations": 0}
+        solve = s.momentum.solve
+
+        def counted(rhs):
+            accel = solve(rhs)
+            ran["solves"] += accel.shape[1]
+            ran["iterations"] += s.momentum.last_info.iterations
+            return accel
+
+        s.momentum.solve = counted
+        res = s.run(t_final=1.0, max_steps=5)
+        w = res.workload
+        assert w.rejected_steps == 0
+        assert w.pcg_solves == ran["solves"] == solves_per_step * p.mesh.dim * res.steps
+        assert w.pcg_iterations == ran["iterations"]
+        assert w.pcg_iters_per_solve == ran["iterations"] / ran["solves"]

@@ -12,7 +12,6 @@ from repro.kernels import FEConfig
 from repro.runtime.energy import EnergyAccount, GreenupReport, greenup
 from repro.runtime.groups import build_dof_groups, distributed_scatter_add
 from repro.runtime.hybrid import HybridExecutor
-from repro.runtime.instrumentation import PhaseTimers
 from repro.runtime.mpi_sim import CommCostModel, SimulatedComm
 
 
@@ -247,15 +246,3 @@ class TestHybridExecutor:
         with pytest.raises(ValueError):
             ex.hybrid()
 
-
-class TestPhaseTimers:
-    def test_measure_and_report(self):
-        t = PhaseTimers()
-        with t.measure("a"):
-            sum(range(1000))
-        with t.measure("a"):
-            pass
-        assert t.counts["a"] == 2
-        assert t.total("a") > 0
-        assert "a" in t.report()
-        assert t.fraction("a") == pytest.approx(1.0)

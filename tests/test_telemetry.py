@@ -253,6 +253,21 @@ class TestExporters:
         assert "force" in m.summary() or "energy" in m.summary()
 
 
+    def test_phase_record_matches_phase_spans(self):
+        """Traced, the workload's force and CG seconds are the durations
+        of the "phase" spans the integrator and `initialize_dt` opened."""
+        from repro.api import run
+
+        report = run("sedov", RunConfig(zones=3, t_final=0.05, telemetry=True))
+        w = report.result.workload
+        spans = report.tracer.phase_table(category="phase")
+        assert set(spans) == {"force", "cg"}
+        assert spans["force"]["seconds"] == pytest.approx(w.wall_force_s, rel=1e-12)
+        assert spans["cg"]["seconds"] == pytest.approx(w.wall_cg_s, rel=1e-12)
+        # One force span per evaluation and per end-of-step geometry check.
+        assert w.rejected_steps == 0
+        assert spans["force"]["calls"] == w.force_evals + w.steps
+
 class TestTelemetryOff:
     def test_disabled_tracer_is_null(self):
         tr = Tracer(enabled=False)
@@ -271,7 +286,7 @@ class TestTelemetryOff:
         solver = LagrangianHydroSolver(problem, RunConfig())
         assert solver.tracer is None
         assert solver.engine.tracer is None
-        assert solver.timers.tracer is None
+        assert solver.integrator.tracer is None
         solver.run(t_final=0.01)
 
     def test_disabled_tracer_passed_in_is_dropped(self):
@@ -326,8 +341,9 @@ class TestFacade:
         ))
         assert report.recovery is not None
         assert report.recovery.checkpoints_written >= 1
-        assert "step" in report.manifest.phases
-        # Driver owns the root span; checkpoints appear as instants.
+        assert "resilience" in report.manifest.phases
+        # One root "run" span (the solver's loop); checkpoints appear as
+        # instants.
         roots = [s for s in report.tracer.spans if s.parent == -1]
         assert [s.name for s in roots] == ["run"]
         assert any(ev["name"] == "checkpoint" for ev in report.tracer.events)
