@@ -17,9 +17,12 @@ them constant in time.
 The momentum PCG applies M_V many times per step, so it does not read
 the CSR matrix: `MassAction` applies the same operator by partial
 assembly (the Laghos mass operator of Vargas et al.), keeping only the
-basis table and the quadrature-point weights. The assembled CSR stays
-for the Jacobi diagonal, the nonzero count the cost models price, and
-as the reference the action is tested against.
+basis table and the quadrature-point weights. Its apply is two halves,
+`zone_products` (every zone's local product) and `scatter` (their sum
+into the global vector), so the distributed operator routes the same
+products to its ranks without computing any zone twice. The
+assembled CSR stays for the Jacobi diagonal, the nonzero count the cost
+models price, and as the reference the action is tested against.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ class MassAction:
 
     M x = sum_z P_z^T B^T (D_z * (B P_z x)), with B the (nqp, ndz) basis
     table, D_z[k] = a_k rho_zk |J_zk| and P_z the gather through `ldof`:
-    a gather, two GEMMs over all zones at once and a `np.bincount`
-    scatter. It equals the assembled matrix's SpMV up to summation order.
+    a gather, two GEMMs over all zones at once (`zone_products`) and a
+    `np.bincount` scatter (`scatter`). It equals the assembled matrix's
+    SpMV up to summation order.
 
     basis_at_qp: (nqp, ndz); qp_weights: (nz, nqp); ldof: (nz, ndz)
     local-to-global dof map into a space of `ndof` dofs.
@@ -98,12 +102,20 @@ class MassAction:
             space.ndof,
         )
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """y = M @ x."""
+    def zone_products(self, x: np.ndarray) -> np.ndarray:
+        """(nz, ndz) local products B^T (D_z * (B P_z x)), one row per zone."""
         q = x[self.ldof] @ self._basis_t  # (nz, nqp) values at the points
         q *= self.qp_weights
-        return np.bincount(self._flat, weights=(q @ self.basis).reshape(-1),
+        return q @ self.basis
+
+    def scatter(self, products: np.ndarray) -> np.ndarray:
+        """(ndof,) sum of (nz, ndz) zone products over `ldof`."""
+        return np.bincount(self._flat, weights=products.reshape(-1),
                            minlength=self.ndof)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """y = M @ x."""
+        return self.scatter(self.zone_products(x))
 
 
 def zone_mass_blocks_sumfact(

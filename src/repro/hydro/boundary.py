@@ -5,7 +5,10 @@ velocity component vanishes on every boundary face (one octant/quadrant
 of the blast is simulated). For axis-aligned generator meshes this is a
 per-component dof constraint, which the momentum solve enforces by
 eliminating constrained rows/columns — the standard MFEM treatment, and
-the one that keeps the discrete total-energy identity exact.
+the one that keeps the discrete total-energy identity exact. The solve
+(`repro.hydro.momentum`) applies the elimination as a 0/1 mask of each
+component's free dofs on its right-hand side and operator outputs, with
+`eliminated_diagonal` as the Jacobi diagonal.
 """
 
 from __future__ import annotations
@@ -88,23 +91,6 @@ class BoundaryConditions:
 
     def component_mask(self, d: int) -> np.ndarray:
         return self.mask[:, d]
-
-    def eliminated_operator(self, matvec, d: int):
-        """SPD operator with constrained dofs of component d eliminated.
-
-        y = A x on free dofs, y = x on constrained dofs — the classic
-        identity-row elimination that preserves symmetry and
-        definiteness for CG.
-        """
-        c = self.mask[:, d]
-
-        def op(x: np.ndarray) -> np.ndarray:
-            xf = np.where(c, 0.0, x)
-            y = matvec(xf)
-            y[c] = x[c]
-            return y
-
-        return op
 
     def eliminated_diagonal(self, diag: np.ndarray, d: int) -> np.ndarray:
         """Matching Jacobi diagonal (1 on constrained dofs)."""

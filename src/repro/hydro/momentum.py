@@ -10,6 +10,14 @@ Every PCG iteration applies M_V through its partial-assembly action
 at the action's own arithmetic. The assembled CSR matrix supplies the
 Jacobi diagonal and the nonzero count the kernel 9 / 11 cost models
 price, since they model the paper's CSR kernel.
+
+The velocity boundary conditions enter as a 0/1 mask per component:
+the right-hand side and every operator output are multiplied by the
+component's free-dof mask. The right-hand side is zero on the
+constrained dofs, so every PCG iterate stays zero there, and the masked
+operator restricted to the free dofs is the operator with the
+constrained rows and columns eliminated: the same iterates, to the bit,
+as the identity-row elimination, at the cost of one multiply per apply.
 """
 
 from __future__ import annotations
@@ -67,8 +75,11 @@ class MomentumSolver:
         if np.any(diag <= 0):
             raise ValueError("kinematic mass matrix has non-positive diagonal")
         # Per-component Jacobi diagonals with the constrained dofs
-        # eliminated; the constraints are fixed once the solver exists.
+        # eliminated, and the 0/1 masks of the free dofs; the
+        # constraints are fixed once the solver exists.
         self._diags = [bc.eliminated_diagonal(diag, d) for d in range(bc.dim)]
+        self._free = [(~bc.component_mask(d)).astype(np.float64)
+                      for d in range(bc.dim)]
         #: Flops of one `matvec`, which `MomentumSolveInfo.flops` counts.
         self.flops_per_apply = action.flops_per_apply
         self.last_info: MomentumSolveInfo | None = None
@@ -78,35 +89,42 @@ class MomentumSolver:
 
         `VectorizedDistributedMomentumSolver` replaces this with the
         group sum over the ranks' shares; everything else
-        (preconditioning, BC elimination, convergence accounting) is
-        shared.
+        (preconditioning, the boundary mask, convergence accounting) is
+        shared. It must return a new array, which the solve masks in
+        place.
         """
         return self.action.matvec(x)
 
     def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
         """Accelerations a with M a = rhs, constrained components zeroed.
 
-        rhs : (ndof, dim). Returns (ndof, dim).
+        rhs : (ndof, dim). Returns (ndof, dim). One `pcg` per component
+        on the masked right-hand side and operator.
         """
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.ndim != 2 or rhs.shape[0] != self.mass.nrows:
             raise ValueError("rhs must be (ndof, dim)")
         dim = rhs.shape[1]
-        accel = np.zeros_like(rhs)
+        accel = np.empty_like(rhs)
+        matvec = self.matvec
         iters = spmvs = flops = 0
         all_conv = True
         for d in range(dim):
-            op = self.bc.eliminated_operator(self.matvec, d)
-            b = np.where(self.bc.component_mask(d), 0.0, rhs[:, d])
-            guess = None if x0 is None else x0[:, d]
-            res = pcg(op, b, diag=self._diags[d], x0=guess, tol=self.tol,
-                      maxiter=self.maxiter)
+            free = self._free[d]
+
+            def op(p: np.ndarray, free=free) -> np.ndarray:
+                y = matvec(p)
+                y *= free
+                return y
+
+            guess = None if x0 is None else x0[:, d] * free
+            res = pcg(op, rhs[:, d] * free, diag=self._diags[d], x0=guess,
+                      tol=self.tol, maxiter=self.maxiter)
             accel[:, d] = res.x
             iters += res.iterations
             spmvs += res.spmv_count
             # callable operator: pcg counts only its vector work
             flops += res.flops + res.spmv_count * self.flops_per_apply
             all_conv &= res.converged
-        accel[self.bc.mask] = 0.0
         self.last_info = MomentumSolveInfo(iters, spmvs, flops, all_conv)
         return accel

@@ -5,10 +5,16 @@ using a diagonal (Jacobi) preconditioner at every time step (kernel 9 on
 the GPU, MFEM's PCG on the CPU). This is that solver; it also reports the
 operation counts the hardware cost models consume (one SpMV plus a
 handful of BLAS-1 operations per iteration).
+
+Like kernel 9, an iteration is one operator apply plus in-place vector
+passes: the loop updates four work vectors (x, r, z, p) allocated once
+per call and allocates nothing itself, so with an operator that writes
+into its own buffer an iteration allocates no vector at all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -93,16 +99,18 @@ def pcg(
     spmv_count = 0
     flops = 0
 
-    r = b - matvec(x) if x.any() else b.copy()
     if x.any():
+        r = b - matvec(x)
         spmv_count += 1
         if nnz is not None:
             flops += 2 * nnz + n
+    else:
+        r = b.copy()
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
     flops += 3 * n
-    norms = [np.sqrt(abs(rz))]
+    norms = [math.sqrt(abs(rz))]
     if norms[0] == 0.0:
         return PCGResult(x, 0, True, np.asarray(norms), spmv_count, flops)
     stop = tol * norms[0]
@@ -121,18 +129,23 @@ def pcg(
             it -= 1
             break
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        z = inv_diag * r
+        # z is free until it is recomputed, so it carries alpha*p and
+        # alpha*Ap; each update rounds exactly as `x += alpha * p` does.
+        np.multiply(p, alpha, out=z)
+        x += z
+        np.multiply(Ap, alpha, out=z)
+        r -= z
+        np.multiply(inv_diag, r, out=z)
         rz_new = float(r @ z)
         flops += 7 * n
-        norms.append(np.sqrt(abs(rz_new)))
+        norms.append(math.sqrt(abs(rz_new)))
         if norms[-1] <= stop:
             converged = True
             rz = rz_new
             break
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta  # p = z + beta * p, in place and to the same bits
+        p += z
         flops += 2 * n
     return PCGResult(x, it, converged, np.asarray(norms), spmv_count, flops)

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.telemetry.tracer import NULL_SPAN
+
 __all__ = ["SimulatedComm", "CommCostModel", "CommRequest", "CommLedger"]
 
 
@@ -169,8 +171,6 @@ class SimulatedComm:
     def _span(self, op: str, nbytes: int):
         """One "comm"-category span (or a no-op context when untraced)."""
         if self.tracer is None:
-            from repro.telemetry.tracer import NULL_SPAN
-
             return NULL_SPAN
         return self.tracer.span(
             op, category="comm", meta={"bytes": int(nbytes), "ranks": self.nranks},
@@ -197,9 +197,9 @@ class SimulatedComm:
                 f"stacked contributions must have leading axis nranks={self.nranks}, "
                 f"got shape {stacked.shape}"
             )
-        if not np.issubdtype(stacked.dtype, np.number) or np.issubdtype(
-            stacked.dtype, np.complexfloating
-        ):
+        # Real numbers: (un)signed ints, floats and timedeltas; no bool,
+        # complex or non-numeric kinds.
+        if stacked.dtype.kind not in "iufm":
             raise TypeError(
                 f"allreduce_sum: contributions must be real numeric arrays, got {stacked.dtype}"
             )
@@ -207,7 +207,7 @@ class SimulatedComm:
         row_bytes = stacked[0].nbytes if nbytes_each is None else int(nbytes_each)
         total = self._account_reduction(row_bytes)
         cost = self.cost_model.allreduce_time(self.nranks, row_bytes)
-        result = np.sum(np.asarray(stacked, dtype=np.float64), axis=0)
+        result = np.add.reduce(np.asarray(stacked, dtype=np.float64), axis=0)
         return CommRequest("allreduce_sum", result, cost, total)
 
     def iallreduce_min_batch(self, values: np.ndarray) -> CommRequest:

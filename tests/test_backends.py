@@ -13,9 +13,11 @@ Tests named `test_smoke_*` form the fast subset
 (`pytest -q tests/test_backends.py -k smoke`).
 """
 
+import gc
 import hashlib
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -479,3 +481,25 @@ class TestHybridBackendModel:
             assert after != before  # degenerate tiling must change the price
         finally:
             solver.close()
+
+
+class TestSolverRelease:
+    """The solver owns its backend, and the backend holds the solver
+    weakly: a closed solver that is dropped is freed at once, not when
+    the cyclic garbage collector next runs."""
+
+    @pytest.mark.parametrize("backend, ranks", [
+        *((name, 0) for name in BACKEND_NAMES), ("cpu-fused", 2),
+    ])
+    def test_smoke_closed_solver_is_freed_without_gc(self, backend, ranks):
+        cfg = RunConfig(backend=backend, ranks=ranks)
+        gc.collect()
+        gc.disable()
+        try:
+            solver = LagrangianHydroSolver(sedov(zones=3), cfg)
+            solver.close()
+            ref = weakref.ref(solver)
+            del solver
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -1,8 +1,14 @@
-"""Tests for boundary conditions and the momentum solver."""
+"""Tests for boundary conditions and the momentum solver.
+
+Tests named `test_smoke_*` belong to the fast momentum subset
+(`pytest -q tests/test_pcg.py tests/test_boundary_momentum.py
+tests/test_mass_action.py -k smoke`).
+"""
 
 import numpy as np
 import pytest
 
+from repro.api import RunConfig, make_problem
 from repro.fem.assembly import MassAction, assemble_kinematic_mass
 from repro.fem.geometry import GeometryEvaluator
 from repro.fem.mesh import cartesian_mesh_2d
@@ -10,6 +16,8 @@ from repro.fem.quadrature import tensor_quadrature
 from repro.fem.spaces import H1Space
 from repro.hydro.boundary import BoundaryConditions
 from repro.hydro.momentum import MomentumSolver
+from repro.hydro.solver import LagrangianHydroSolver
+from repro.linalg.pcg import pcg
 
 
 def assembly_inputs(k=2, n=2):
@@ -63,18 +71,69 @@ class TestBoundaryConditions:
         with pytest.raises(ValueError):
             bc.constrain(np.array([0]), 5)
 
-    def test_eliminated_operator_is_spd(self, rng):
+    def test_eliminated_operator_is_spd(self):
+        """The momentum solve's operator, M x masked by a component's
+        free dofs, keeps every constrained output zero, and restricted
+        to the free dofs it is the eliminated operator: SPD."""
         mass, sp = mass_and_space()
         bc = BoundaryConditions.box_symmetry(sp)
-        op = bc.eliminated_operator(mass.matvec, 0)
-        n = sp.ndof
-        # Build the dense operator and verify symmetry + positive diag.
-        dense = np.column_stack([op(col) for col in np.eye(n)])
-        assert np.allclose(dense, dense.T, atol=1e-12)
-        assert np.all(np.linalg.eigvalsh(dense) > 0)
+        free = ~bc.component_mask(0)
+        dense = np.column_stack(
+            [mass.matvec(col) * free for col in np.eye(sp.ndof)[free]]
+        )
+        assert np.all(dense[~free] == 0.0)
+        block = dense[free]
+        assert np.allclose(block, block.T, atol=1e-12)
+        assert np.all(np.linalg.eigvalsh(block) > 0)
+
+
+def eliminated_solve(momentum, rhs):
+    """The identity-row elimination the masked solve replaces: per
+    component, zero the constrained entries of the operator's input and
+    copy them to its output. Returns (accelerations, iterations)."""
+    accel, iters = np.zeros_like(rhs), 0
+    diag = momentum.mass.diagonal()
+    for d in range(rhs.shape[1]):
+        c = momentum.bc.component_mask(d)
+
+        def op(x, c=c):
+            y = momentum.matvec(np.where(c, 0.0, x))
+            y[c] = x[c]
+            return y
+
+        res = pcg(op, np.where(c, 0.0, rhs[:, d]), tol=momentum.tol,
+                  diag=momentum.bc.eliminated_diagonal(diag, d), maxiter=momentum.maxiter)
+        accel[:, d], iters = res.x, iters + res.iterations
+    accel[momentum.bc.mask] = 0.0
+    return accel, iters
 
 
 class TestMomentumSolver:
+    def test_smoke_masked_solve_matches_elimination(self):
+        """On the momentum RHS of a Sedov Q2 run (box-symmetry walls),
+        the masked solve returns the elimination's accelerations bit
+        for bit, in the same number of iterations."""
+        cfg = RunConfig(order=2, zones=8)
+        with LagrangianHydroSolver(make_problem("sedov", cfg), cfg) as solver:
+            momentum = solver.momentum
+            assert momentum.bc.n_constrained > 0
+            captured = []
+            solve = momentum.solve
+
+            def recording(rhs, x0=None):
+                captured.append(np.array(rhs))
+                return solve(rhs, x0)
+
+            momentum.solve = recording
+            solver.run(t_final=1.0, max_steps=3)
+            del momentum.solve
+            assert len(captured) == 6  # two RK stages per step
+            for rhs in captured:
+                accel = momentum.solve(rhs)
+                want, iters = eliminated_solve(momentum, rhs)
+                assert accel.tobytes() == want.tobytes()
+                assert momentum.last_info.iterations == iters > 0
+
     def test_unconstrained_matches_direct(self, rng):
         solver, mass, sp = momentum_solver(tol=1e-14)
         rhs = rng.standard_normal((sp.ndof, 2))

@@ -1,4 +1,11 @@
-"""Tests for the preconditioned conjugate gradient solver."""
+"""Tests for the preconditioned conjugate gradient solver.
+
+Tests named `test_smoke_*` belong to the fast momentum subset
+(`pytest -q tests/test_pcg.py tests/test_boundary_momentum.py
+tests/test_mass_action.py -k smoke`).
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,3 +112,27 @@ class TestPCG:
         res = pcg(m, rng.standard_normal(n), tol=1e-13)
         assert res.converged
         assert res.iterations <= n + 2
+
+    def test_smoke_loop_allocates_no_vector(self, rng):
+        """With an operator that writes into its own buffer, a solve
+        holds no more than its work vectors x, r, z, p and D^-1: the
+        loop's updates allocate nothing, however many iterations run."""
+        n = 100_000
+        out = np.empty(n)
+
+        def op(v):  # tridiag(-1, 4, -1), applied in place
+            np.multiply(v, 4.0, out=out)
+            out[1:] -= v[:-1]
+            out[:-1] -= v[1:]
+            return out
+
+        b = rng.standard_normal(n)
+        diag = np.full(n, 4.0)
+        tracemalloc.start()
+        try:
+            res = pcg(op, b, diag=diag, tol=1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.iterations > 10
+        assert peak < 5 * b.nbytes + 64 * 1024
