@@ -22,6 +22,7 @@ all of this down with state hashes.
 
 from __future__ import annotations
 
+import weakref
 from typing import Protocol, runtime_checkable
 
 from repro.config import BACKEND_NAMES
@@ -60,6 +61,25 @@ class ExecutionBackend(Protocol):
     def describe(self) -> dict:
         """Manifest-friendly summary of the policy."""
         ...
+
+
+class _SolverRef:
+    """The attached solver, held through a weak reference.
+
+    The solver owns its backend; a strong back-reference would make a
+    cycle, and every dropped solver would then wait for the cyclic
+    garbage collector to free its arrays. `solver` is None before
+    `_bind` and once the solver is gone.
+    """
+
+    _solver = None
+
+    @property
+    def solver(self):
+        return None if self._solver is None else self._solver()
+
+    def _bind(self, solver) -> None:
+        self._solver = weakref.ref(solver)
 
 
 def make_backend(name: str, **kwargs) -> "ExecutionBackend":
