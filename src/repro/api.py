@@ -10,8 +10,7 @@ all read one frozen `RunConfig`; this module composes them:
     print(report.manifest.summary())
 
 `run` builds one `LagrangianHydroSolver(problem, config)` — its
-execution backend (`backend="cpu-fused" | "cpu-sumfact" |
-"cpu-parallel" | "hybrid"`, or `workers` > 0 for cpu-parallel),
+execution backend (`backend="cpu-fused" | "cpu-sumfact" | "hybrid"`),
 wrapped in the distributed backend when `ranks` > 0 — runs the in-band
 tuning scheduler for hybrid runs, wraps the run in the
 `ResilientDriver` when resilience knobs are set
@@ -92,7 +91,6 @@ class RunReport:
     mpi_traffic: object = None
     vtk_path: object = None
     checkpoint_path: object = None
-    executor_workers: int | None = None
     #: `repro.sched.SchedulerReport` when the run scheduled in-band
     #: (backend="hybrid"), else None.
     scheduler: object = None
@@ -222,11 +220,7 @@ def run(problem, config: RunConfig | None = None, **overrides) -> RunReport:
 
         comm = getattr(solver.backend, "comm", None)
         mpi_traffic = comm.traffic if comm is not None else None
-        executor = solver.executor
-        executor_workers = executor.workers if executor is not None else None
-        # Persistent-pool amortization stats (dispatches, mean wake-up
-        # latency) and any elastic-rank transitions, for the manifest.
-        executor_stats = executor.stats() if executor is not None else None
+        # Any elastic-rank transitions, for the manifest.
         rank_history = list(getattr(solver.backend, "rank_history", []) or [])
         scheduler_report = (
             solver.scheduler.report if solver.scheduler is not None else None
@@ -260,8 +254,7 @@ def run(problem, config: RunConfig | None = None, **overrides) -> RunReport:
     from repro.telemetry import RunManifest
 
     solver_info = {
-        # The resolved (ranks, backend, workers) execution triple — what
-        # actually ran, after `workers` resolved into a backend.
+        # The resolved (ranks, backend) execution pair — what actually ran.
         "execution": cfg.resolved_execution,
     }
     if scheduler_report is not None:
@@ -275,8 +268,6 @@ def run(problem, config: RunConfig | None = None, **overrides) -> RunReport:
             "warm_started": scheduler_report.warm_started,
             "converged": scheduler_report.converged,
         }
-    if executor_stats is not None:
-        solver_info["worker_pool"] = executor_stats
     if mpi_traffic is not None:
         solver_info["mpi_traffic"] = {
             "messages": mpi_traffic.messages,
@@ -306,6 +297,5 @@ def run(problem, config: RunConfig | None = None, **overrides) -> RunReport:
         mpi_traffic=mpi_traffic,
         vtk_path=vtk_path,
         checkpoint_path=checkpoint_path,
-        executor_workers=executor_workers,
         scheduler=scheduler_report,
     )

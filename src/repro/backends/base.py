@@ -5,19 +5,17 @@ under interchangeable execution policies — serial CPU, OpenMP CPU, and
 the CUDA+OpenMP hybrid — with the scheduler free to move between them
 (Sections 3.2-3.3). This module is that seam for the repro: a backend
 owns the corner-force evaluation strategy of one solver (which engine
-flavour, whether a worker pool runs it, whether a simulated device
-prices it) behind a uniform four-method surface, selected by one
-`RunConfig.backend` string.
+flavour, whether a simulated device prices it) behind a uniform
+three-method surface, selected by one `RunConfig.backend` string. Every
+backend evaluates in process; the paper's OpenMP share of a task's
+zones is priced, not executed.
 
 Physics contract: every backend computes the corner force with the one
 `ForceEngine`'s fused arithmetic. `cpu-fused` and `hybrid` share the
-identical full-batch evaluation and are *bitwise* equal; `cpu-parallel`
-with pinned `chunks` is bitwise invariant under the worker count (and
-within a few ULP of the full batch — the final contraction's BLAS
-accumulation order depends on the batch extent); `cpu-sumfact` agrees
-to contraction-reordering roundoff (1e-10 budget). The independent
-reference is `repro.hydro.corner_force.corner_force_loops`. Tests pin
-all of this down with state hashes.
+identical full-batch evaluation and are *bitwise* equal; `cpu-sumfact`
+agrees to contraction-reordering roundoff (1e-10 budget). The
+independent reference is `repro.hydro.corner_force.corner_force_loops`.
+Tests pin all of this down with state hashes.
 """
 
 from __future__ import annotations
@@ -36,26 +34,22 @@ class ExecutionBackend(Protocol):
 
     Lifecycle: the solver constructs its FEM spaces and fields, then
     calls `attach(solver)` exactly once — the backend builds its
-    `ForceEngine` (via `solver._make_engine`) plus any executor, and
-    from then on `force_fn` is the solver's corner-force evaluator
-    (installed as `integrator.force_fn`). `close()` releases worker
-    pools / shared memory and must be idempotent.
+    `ForceEngine` (via `solver._make_engine`), and from then on
+    `force_fn` is the solver's corner-force evaluator (installed as
+    `integrator.force_fn`). A backend holds no process or shared
+    memory, so it has nothing to close.
     """
 
     #: Registry name, one of `BACKEND_NAMES`.
     name: str
 
     def attach(self, solver) -> None:
-        """Bind to a constructed solver; build engine and executors."""
+        """Bind to a constructed solver; build its engine."""
         ...
 
     @property
     def force_fn(self):
         """The corner-force evaluator: `HydroState -> ForceResult`."""
-        ...
-
-    def close(self) -> None:
-        """Release resources (idempotent)."""
         ...
 
     def describe(self) -> dict:
@@ -85,16 +79,15 @@ class _SolverRef:
 def make_backend(name: str, **kwargs) -> "ExecutionBackend":
     """Build a backend by registry name.
 
-    kwargs are forwarded to the concrete constructor (`workers=` for
-    cpu-parallel; `device=` / `cpu=` / `ratio=` for hybrid) — unknown
-    names raise with the valid list, mirroring `RunConfig` validation.
+    kwargs are forwarded to the concrete constructor (`device=` /
+    `cpu=` / `ratio=` for hybrid) — unknown names raise with the valid
+    list, mirroring `RunConfig` validation.
     """
-    from repro.backends.cpu import CpuFusedBackend, CpuParallelBackend, CpuSumfactBackend
+    from repro.backends.cpu import CpuFusedBackend, CpuSumfactBackend
     from repro.backends.hybrid import HybridBackend
 
     registry = {
-        cls.name: cls
-        for cls in (CpuFusedBackend, CpuSumfactBackend, CpuParallelBackend, HybridBackend)
+        cls.name: cls for cls in (CpuFusedBackend, CpuSumfactBackend, HybridBackend)
     }
     try:
         cls = registry[name]

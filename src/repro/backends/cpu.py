@@ -1,17 +1,16 @@
-"""The three CPU execution backends.
+"""The two in-process CPU execution backends.
 
 `CpuFusedBackend` and `CpuSumfactBackend` differ only in which
 `ForceEngine` flavour they build (the dense fused pipeline vs. its
-matrix-free sum-factorized subclass); `CpuParallelBackend` puts the
-fused engine behind the shared-memory `ZoneParallelExecutor` — the
-repro's stand-in for the paper's OpenMP zone loop.
+matrix-free sum-factorized subclass); both evaluate the corner force
+in process through the engine's own `compute`. The paper's OpenMP
+share of a task's zones is priced analytically (`repro.cpu.openmp`,
+and the host side of `HybridBackend`), not executed.
 
 Every CPU backend can also serve as the *node* backend under
 `repro.backends.distributed.DistributedBackend`: `attach_node` builds
-its engine but no node-level executor (under `ranks` the rank is the
-parallel unit, so a cpu-parallel node evaluates in-process). The
-distributed layer then evaluates every rank's zones in one call of the
-engine's own `compute`, whichever engine flavour the node built.
+its engine, and the distributed layer evaluates every rank's zones in
+one call of that engine's `compute`, whichever flavour the node built.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.backends.base import _SolverRef
 __all__ = [
     "CpuFusedBackend",
     "CpuSumfactBackend",
-    "CpuParallelBackend",
 ]
 
 
@@ -41,9 +39,8 @@ class _EngineBackend(_SolverRef):
     def attach_node(self, solver) -> None:
         """Bind as the node backend under the distributed layer.
 
-        Builds the engine, but no node-level executor (under `ranks`,
-        the rank itself is the parallel unit) and no device pricing (the
-        distributed layer prices a hybrid node per rank).
+        Builds the engine, but no device pricing (the distributed layer
+        prices a hybrid node per rank).
         """
         if self.engine is not None:
             raise RuntimeError(f"backend '{self.name}' is already attached")
@@ -71,9 +68,6 @@ class _EngineBackend(_SolverRef):
         backends return None and the solver skips the scheduler.
         """
         return None
-
-    def close(self) -> None:
-        pass
 
     def describe(self) -> dict:
         return {"backend": self.name}
@@ -103,52 +97,3 @@ class CpuSumfactBackend(_EngineBackend):
 
     def describe(self) -> dict:
         return {"backend": self.name, "sumfact": True}
-
-
-class CpuParallelBackend(_EngineBackend):
-    """Fused engine behind the persistent-pool zone-parallel executor.
-
-    Workers are forked once (`repro.runtime.workers`) and woken by
-    fixed-size command packets; the default partition is one contiguous
-    span per worker, so `workers=1` is bitwise identical to serial at
-    pure dispatch cost. Pin `chunks=K` for a partition — and result
-    bits — invariant under the worker count.
-    """
-
-    name = "cpu-parallel"
-
-    def __init__(self, workers: int | None = None, chunks: int | None = None):
-        super().__init__()
-        self.workers = workers
-        self.chunks = chunks
-        self.executor = None
-
-    def attach(self, solver) -> None:
-        """Bind as the primary backend: the engine behind the worker pool."""
-        super().attach(solver)
-        from repro.runtime.parallel import ZoneParallelExecutor
-
-        self.executor = ZoneParallelExecutor(
-            self.engine,
-            workers=self.workers,
-            chunks=self.chunks,
-            tracer=self.solver.tracer,
-        )
-
-    @property
-    def force_fn(self):
-        if self.executor is None:
-            raise RuntimeError("backend 'cpu-parallel' is not attached")
-        return self.executor.compute
-
-    def close(self) -> None:
-        if self.executor is not None:
-            self.executor.close()
-            self.executor = None
-
-    def describe(self) -> dict:
-        out = {"backend": self.name}
-        if self.executor is not None:
-            out["workers"] = self.executor.workers
-            out["chunks"] = len(self.executor.chunk_ids)
-        return out

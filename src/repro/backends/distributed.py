@@ -5,14 +5,14 @@ corner-force level are independent, composable layers. This module is
 that composition for the repro: `RunConfig(ranks=N, backend=<any>)`
 builds one ordinary `LagrangianHydroSolver` whose backend is a
 `DistributedBackend` holding one *node* backend (cpu-fused /
-cpu-sumfact / cpu-parallel / hybrid) that evaluates every rank's
-zones. The solver's time loop, integrator, telemetry and
-resilience hooks are all the standard ones — the distributed layer only
-changes how the corner force is evaluated and how the mass operator is
-applied, and it does both with stacked array operations over the rank
-axis, so the functional layer steps O(100-1000) simulated ranks in
-seconds and reproduces the paper's Figs 12-13 weak/strong curves
-measured, not just modeled:
+cpu-sumfact / hybrid) that evaluates every rank's zones. The solver's
+time loop, integrator, telemetry and resilience hooks are all the
+standard ones — the distributed layer only changes how the corner
+force is evaluated and how the mass operator is applied, and it does
+both with stacked array operations over the rank axis, so the
+functional layer steps O(100-1000) simulated ranks in seconds and
+reproduces the paper's Figs 12-13 weak/strong curves measured, not
+just modeled:
 
 - corner forces: the node engine's own `compute` evaluates every zone
   in one call, whatever the node's flavour, exactly as a single-process
@@ -174,11 +174,9 @@ class DistributedBackend(_SolverRef):
     ----------
     nranks : simulated ranks (>= 1).
     node : registry name of the node backend that evaluates every
-        rank's zones ("cpu-fused" / "cpu-sumfact" / "cpu-parallel" /
-        "hybrid"). It runs in-process: under ranks the rank is the
-        parallel unit, so a cpu-parallel node starts no pool.
-        Whatever its flavour, its engine's own `compute` evaluates
-        every rank's zones in one call.
+        rank's zones ("cpu-fused" / "cpu-sumfact" / "hybrid"). Whatever
+        its flavour, its engine's own `compute` evaluates every rank's
+        zones in one call.
     node_kwargs : forwarded to the node backend's constructor.
     zone_rank : optional explicit zone -> rank map (default: RCB).
     overlap : price the interface-dof exchange as hidden under the
@@ -235,7 +233,7 @@ class DistributedBackend(_SolverRef):
     # -- Lifecycle -----------------------------------------------------------
 
     def attach(self, solver) -> None:
-        """Attach the node backend: its engine, and no executor."""
+        """Attach the node backend and take its engine."""
         if self.node is not None:
             raise RuntimeError("backend 'distributed' is already attached")
         from repro.backends.base import make_backend
@@ -650,10 +648,6 @@ class DistributedBackend(_SolverRef):
         self._schedule_fired = set()
 
     # -- Housekeeping --------------------------------------------------------
-
-    def close(self) -> None:
-        if self.node is not None:
-            self.node.close()
 
     def describe(self) -> dict:
         out = {

@@ -1,7 +1,7 @@
 """Command-line interface.
 
     python -m repro run sedov --dim 2 --order 2 --zones 8 --t-final 0.2
-    python -m repro run sod --backend cpu-parallel --workers 4
+    python -m repro run sod --backend cpu-sumfact --order 4
     python -m repro run sedov --backend hybrid --tuning-cache tune.json
     python -m repro run sedov --ranks 4 --backend cpu-fused --overlap on
     python -m repro bench scaling --quick
@@ -12,11 +12,11 @@
     python -m repro submit sedov --journal fleet.jsonl --priority 2
     python -m repro serve --journal fleet.jsonl --workers 2
 
-`run` drives the real solver under one of four execution backends
-(--backend cpu-fused|cpu-sumfact|cpu-parallel|hybrid, with optional
-VTK/checkpoint output); `bench scaling` checks the measured
-weak/strong scaling curves against the analytic model (performance is
-measured by `perfbench/run.py`);
+`run` drives the real solver under one of three execution backends
+(--backend cpu-fused|cpu-sumfact|hybrid, with optional VTK/checkpoint
+output) and prints its wall-time phase split; `bench scaling` checks
+the measured weak/strong scaling curves against the analytic model
+(performance is measured by `perfbench/run.py`);
 `model` prices workloads on the simulated hardware; `tune` runs the
 autotuner (single kernel, or a whole campaign with `tune campaign`);
 `info` dumps the device catalogs; `submit`/`serve` journal jobs and
@@ -56,8 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", default=None, choices=BACKEND_NAMES,
                      help="execution backend: the fused zero-allocation "
                           "path (default), the matrix-free "
-                          "sum-factorization engine, the shared-memory "
-                          "zone-parallel executor, or the priced CPU-GPU "
+                          "sum-factorization engine, or the priced CPU-GPU "
                           "split with in-band tuning")
     run.add_argument("--hybrid-device", default="K20", metavar="GPU",
                      help="simulated GPU pricing the hybrid backend's split")
@@ -78,9 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("exhaustive", "random", "local"),
                      help="how the campaign walks the joint configuration "
                           "space (default: greedy local coordinate descent)")
-    run.add_argument("--workers", type=int, default=0, metavar="N",
-                     help="evaluate corner forces over N shared-memory worker "
-                          "processes (implies --backend cpu-parallel)")
     run.add_argument("--ranks", type=int, default=0, metavar="N",
                      help="partition the mesh over N simulated-MPI ranks; "
                           "composes with --backend (each rank runs the "
@@ -215,7 +211,6 @@ def _cmd_run(args) -> int:
         max_steps=args.max_steps,
         cfl=args.cfl,
         integrator=args.integrator,
-        workers=args.workers,
         backend=args.backend,
         hybrid_device=args.hybrid_device,
         tuning_cache=args.tuning_cache,
@@ -266,13 +261,9 @@ def _cmd_run(args) -> int:
         print(f"wrote {report.vtk_path}")
     if report.checkpoint_path is not None:
         print(f"wrote {report.checkpoint_path}")
-    if args.workers > 0:
-        # Under --ranks the node evaluates in-process: no pool, no count.
-        w = result.workload
-        pool = (f"  ({report.executor_workers} workers)"
-                if report.executor_workers is not None else "")
-        print(f"phase wall time: force {w.wall_force_s:.3f}s  cg {w.wall_cg_s:.3f}s  "
-              f"other {w.wall_other_s:.3f}s{pool}")
+    w = result.workload
+    print(f"phase wall time: force {w.wall_force_s:.3f}s  cg {w.wall_cg_s:.3f}s  "
+          f"other {w.wall_other_s:.3f}s")
     if args.trace:
         print(f"wrote {args.trace}")
     if args.metrics:

@@ -5,10 +5,16 @@ Every entry point reads this single immutable dataclass: the solver
 the distributed backend and the `ResilientDriver` (through
 `solver.config`), the service fleet (journaled in every `JobSpec`), and
 `repro.api.run`, which composes them. Execution backend, simulated
-ranks, zone-parallel workers, resilience and telemetry are all fields
-here; `resolved_backend` is the one place a backend name is resolved,
-and `BACKEND_NAMES` the one list of valid names (re-exported by
-`repro.backends`, the CLI's `--backend` choices).
+ranks, resilience and telemetry are all fields here; `resolved_backend`
+is the one place a backend name is resolved, and `BACKEND_NAMES` the
+one list of valid names (re-exported by `repro.backends`, the CLI's
+`--backend` choices).
+
+The retired `cpu-parallel` spelling (`backend="cpu-parallel"` or
+`workers` > 0) is rewritten here to what runs, `backend="cpu-fused"`
+with `workers=0`, so warm keys, content keys, journals and manifests
+only ever see the rewritten config. This is the only module that knows
+the name.
 
 This module stays import-light (stdlib only) so every layer can depend
 on it without cycles.
@@ -35,7 +41,9 @@ DEFAULT_MAX_STEPS = 100_000
 _INTEGRATORS = ("rk2avg", "euler", "rk4")
 #: The execution policies `backend` accepts (also the CLI's `--backend`
 #: choices and the `make_backend` registry keys).
-BACKEND_NAMES = ("cpu-fused", "cpu-sumfact", "cpu-parallel", "hybrid")
+BACKEND_NAMES = ("cpu-fused", "cpu-sumfact", "hybrid")
+# The forked worker pool's backend name, retired: it runs as cpu-fused.
+_RETIRED_PARALLEL = "cpu-parallel"
 # Supported kinematic orders: the Qk-Qk-1 pairing needs k >= 1, and the
 # problem registry / bench grid is validated through Q8 (ROADMAP item 3).
 MAX_ORDER = 8
@@ -104,13 +112,13 @@ class RunConfig:
     `record_dt_history` mirror the solver knobs.
 
     Execution: `backend` is the policy selector — "cpu-fused"
-    (zero-allocation hot path, the default), "cpu-sumfact" (matrix-free
-    sum-factorization engine, O(order^{d+1}) per zone), "cpu-parallel"
-    (shared-memory zone-parallel executor over `workers` processes) or
-    "hybrid" (fused execution priced as a CPU/GPU zone split, with
-    in-band tuning via `repro.sched`). Left as None it resolves from
-    `workers` (see `resolved_backend`); `ranks` > 0 wraps the resolved
-    backend in the simulated-MPI distributed backend (composable with
+    (zero-allocation hot path, the default when left as None),
+    "cpu-sumfact" (matrix-free sum-factorization engine,
+    O(order^{d+1}) per zone) or "hybrid" (fused execution priced as a
+    CPU/GPU zone split, with in-band tuning via `repro.sched`). The
+    retired "cpu-parallel" and `workers` > 0 become "cpu-fused" with
+    `workers=0`. `ranks` > 0 wraps the resolved backend in the
+    simulated-MPI distributed backend (composable with
     every node backend), and `overlap` toggles whether the
     interface-dof exchange is priced as hidden under the modeled
     interior-zone corner force of the rank with the fewest interior
@@ -142,7 +150,8 @@ class RunConfig:
     pcg_maxiter: int | None = None
     energy_every: int = 1
     record_dt_history: bool = True
-    # execution
+    # execution (`workers` is always 0 once constructed: the retired
+    # spelling of cpu-parallel, still written by perfbench)
     workers: int = 0
     ranks: int = 0
     overlap: bool = True
@@ -198,17 +207,21 @@ class RunConfig:
         if self.rank_schedule and self.ranks < 1:
             raise ConfigError("rank_schedule requires ranks >= 1")
         parse_rank_schedule(self.rank_schedule)
-        if self.backend is not None:
-            if self.backend not in BACKEND_NAMES:
-                raise ConfigError(
-                    f"unknown backend '{self.backend}' "
-                    f"(choose from {BACKEND_NAMES})"
-                )
-            if self.workers > 0 and self.backend != "cpu-parallel":
+        if self.workers > 0 or self.backend == _RETIRED_PARALLEL:
+            # The retired spelling runs in process, as cpu-fused.
+            if self.backend not in (None, _RETIRED_PARALLEL):
                 raise ConfigError(
                     f"workers={self.workers} conflicts with "
-                    f"backend='{self.backend}' (workers imply cpu-parallel)"
+                    f"backend='{self.backend}' (workers imply {_RETIRED_PARALLEL})"
                 )
+            object.__setattr__(self, "backend", "cpu-fused")
+            object.__setattr__(self, "workers", 0)
+        if self.backend is not None and self.backend not in BACKEND_NAMES:
+            raise ConfigError(
+                f"unknown backend '{self.backend}' (choose from {BACKEND_NAMES})"
+            )
+        if self.energy_every < 1:
+            raise ConfigError(f"energy_every must be >= 1, got {self.energy_every}")
         if self.tune_period_steps < 1:
             raise ConfigError("tune_period_steps must be >= 1")
         if self.tuning_objective not in _TUNING_OBJECTIVES:
@@ -231,28 +244,19 @@ class RunConfig:
     @property
     def resolved_backend(self) -> str:
         """The effective execution policy, the one place a backend name
-        is resolved: an explicit `backend` wins, `workers` > 0 means the
-        zone-parallel executor, and everything else the fused default.
+        is resolved: an explicit `backend` wins, else the fused default.
         """
-        if self.backend is not None:
-            return self.backend
-        return "cpu-parallel" if self.workers > 0 else "cpu-fused"
+        return self.backend if self.backend is not None else "cpu-fused"
 
     @property
     def resolved_execution(self) -> dict:
-        """The resolved `(ranks, backend, workers)` execution triple.
+        """The resolved `(ranks, backend)` execution pair.
 
         `backend` is the *node* policy that evaluates every rank's zones
         when `ranks` > 0 (the distributed layer wraps it), the whole
-        policy otherwise. `workers` is the size of the pool that runs:
-        0 under `ranks`, where the node evaluates in-process and starts
-        no pool.
+        policy otherwise.
         """
-        return {
-            "ranks": self.ranks,
-            "backend": self.resolved_backend,
-            "workers": 0 if self.ranks else self.workers,
-        }
+        return {"ranks": self.ranks, "backend": self.resolved_backend}
 
     @property
     def telemetry_enabled(self) -> bool:

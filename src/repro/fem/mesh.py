@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 __all__ = ["Mesh", "cartesian_mesh_2d", "cartesian_mesh_3d"]
 
 
@@ -143,7 +145,7 @@ def cartesian_mesh_2d(
 ) -> Mesh:
     """Uniform nx-by-ny quad mesh over a rectangle."""
     if nx < 1 or ny < 1:
-        raise ValueError("need at least one zone per direction")
+        raise ConfigError(f"need at least one zone per direction, got {nx}x{ny}")
     (x0, x1), (y0, y1) = extent
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
@@ -161,7 +163,9 @@ def cartesian_mesh_3d(
 ) -> Mesh:
     """Uniform nx-by-ny-by-nz hex mesh over a box."""
     if min(nx, ny, nz) < 1:
-        raise ValueError("need at least one zone per direction")
+        raise ConfigError(
+            f"need at least one zone per direction, got {nx}x{ny}x{nz}"
+        )
     (x0, x1), (y0, y1), (z0, z1) = extent
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.fem.mesh import Mesh
 
 __all__ = [
@@ -65,7 +66,7 @@ def partition_rcb(centroids: np.ndarray, nparts: int) -> np.ndarray:
         raise ValueError("nparts must be >= 1")
     n = centroids.shape[0]
     if nparts > n:
-        raise ValueError("more parts than zones")
+        raise ConfigError(f"{nparts} parts for {n} zones: more parts than zones")
     rank = np.zeros(n, dtype=np.int64)
 
     def recurse(ids: np.ndarray, parts: int, base: int) -> None:

@@ -34,10 +34,8 @@ Two formulations are provided:
   few ULPs (~1e-15 relative; the batched arithmetic reorders
   mathematically-identical floating point).
 
-The same stages also evaluate any zone subset prepared with
-`prepare_subset` (`compute_subset`): the zone-parallel executor's chunks
-go through that entry. The simulated ranks evaluate through `compute`
-itself, like every single-process backend.
+Every backend, the simulated ranks included, evaluates through
+`compute`.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ __all__ = [
     "PointData",
     "SumfactForceEngine",
     "SumfactStress",
-    "ZoneSubset",
     "corner_force_loops",
 ]
 
@@ -106,26 +103,6 @@ class ForceResult:
     dt_zones: np.ndarray | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
-class ZoneSubset:
-    """A zone subset prepared once for `ForceEngine.compute_subset`.
-
-    Everything that depends only on the zone ids is gathered here when
-    the subset is prepared: the kinematic and L2 gather rows, the rows
-    of the conserved pointwise mass, and the slice of a per-zone-gamma
-    EOS. The private `workspace` (on the engine's arena) leases its
-    buffers on the first evaluation, so later evaluations of the same
-    subset allocate nothing.
-    """
-
-    zones: np.ndarray    # (n,) zone ids
-    ldof: np.ndarray     # (n, ndof_h1_zone) kinematic gather rows
-    ldof_l2: np.ndarray  # (n, ndof_l2_zone) thermodynamic gather rows
-    mass_qp: np.ndarray  # (n, nqp) rho0 |J0| rows
-    eos: object
-    workspace: Workspace
-
-
 class ForceEngine:
     """Batched corner-force evaluator (the redesigned formulation).
 
@@ -140,7 +117,7 @@ class ForceEngine:
         pointwise mass rho0 |J0|).
     viscosity : tensor artificial viscosity coefficients.
     workspace : buffer pool for every intermediate (a private one is
-        created when omitted); subset workspaces share its arena.
+        created when omitted).
     tracer : optional enabled `repro.telemetry.Tracer`; when given, the
         full-batch `compute` emits one "kernel"-category span per
         Table 2 stage (geometry / pointwise stress / force assembly).
@@ -193,9 +170,6 @@ class ForceEngine:
         self._geo_cache: list[tuple[object, GeometryAtPoints] | None] = [None, None]
         self._geo_mru = 0
         self._fz_slot = 0
-        # Live subsets from `prepare_subset`, so solver retirement can
-        # return their workspace leases (`release_subset` drops one).
-        self.subsets: list[ZoneSubset] = []
         # Constant operands of the force GEMMs, the size of grad_table and
         # B: gradW^T per point (a view) and the weighted (alpha_k B[j, k])^T.
         self._grad_T = self.grad_table.transpose(0, 2, 1)[:, None]  # (nqp, 1, dim, ndz)
@@ -221,26 +195,25 @@ class ForceEngine:
                 self._geo_mru = slot
                 return entry[1]
         slot = 1 - self._geo_mru
-        geo = self._zone_geometry(self.workspace, x, self._ldof, f"geo{slot}.")
+        geo = self._zone_geometry(x, f"geo{slot}.")
         geo.freeze()
         self._geo_cache[slot] = (x, geo)
         self._geo_mru = slot
         return geo
 
-    def _zone_geometry(
-        self, ws: Workspace, x: np.ndarray, ldof: np.ndarray, prefix: str
-    ) -> GeometryAtPoints:
-        """Kernels 1/3 for the zones whose gather rows are `ldof`.
+    def _zone_geometry(self, x: np.ndarray, prefix: str) -> GeometryAtPoints:
+        """Kernels 1/3 at every zone.
 
         Writes the gathered coordinates, Jacobians, determinants,
-        adjugates and (for untangled zones) inverses into `ws` buffers,
-        the geometry arrays under names starting with `prefix`.
+        adjugates and (for untangled zones) inverses into workspace
+        buffers, the geometry arrays under names starting with `prefix`.
         """
-        n, ndz = ldof.shape
+        ws = self.workspace
+        n, ndz = self._ldof.shape
         dim = self.kinematic.dim
         nqp = self.quad.nqp
         xc = ws.get("xc", (dim, n, ndz))
-        np.take(x.T, ldof, axis=1, out=xc)
+        np.take(x.T, self._ldof, axis=1, out=xc)
         jac = ws.get(f"{prefix}jac", (n, nqp, dim, dim))
         self._jacobians(xc, jac)
         det = ws.get(f"{prefix}det", (n, nqp))
@@ -260,27 +233,19 @@ class ForceEngine:
 
     def force_times_one(self, Fz: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Kernel 8: per-zone -F.1 contribution (before global scatter) as
-        one GEMV against -1, into `out` (default: the engine's buffer for
-        the full batch)."""
+        one GEMV against -1, into `out` (default: the engine's buffer)."""
         if out is None:
-            if Fz.shape == self._fz_shape:
-                out = self.workspace.get("rhs_mom_z", Fz.shape[:-1])
-            else:
-                out = np.empty(Fz.shape[:-1])
+            out = self.workspace.get("rhs_mom_z", Fz.shape[:-1])
         np.matmul(Fz.reshape(-1, Fz.shape[-1]), self._minus_one, out=out.reshape(-1))
         return out
 
     def force_transpose_times_v(self, Fz: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Kernel 10: per-zone F^T v as one batched GEMV (flat L2 layout)."""
         n, ndz, dim, ndl2 = Fz.shape
-        if Fz.shape == self._fz_shape:
-            ws = self.workspace
-            vz = ws.get("vz_energy", (n, ndz, dim))
-            np.take(v, self._ldof, axis=0, out=vz)
-            out = ws.get("rhs_energy_z", (n, ndl2))
-        else:
-            vz = self.kinematic.gather(v)
-            out = np.empty((n, ndl2))
+        ws = self.workspace
+        vz = ws.get("vz_energy", (n, ndz, dim))
+        np.take(v, self._ldof, axis=0, out=vz)
+        out = ws.get("rhs_energy_z", (n, ndl2))
         np.matmul(
             vz.reshape(n, 1, ndz * dim), Fz.reshape(n, ndz * dim, ndl2),
             out=out.reshape(n, 1, ndl2),
@@ -299,83 +264,22 @@ class ForceEngine:
         speed = points.sound_speed + 2.0 * points.mu_max / (points.rho * h)
         return h / np.maximum(speed, 1e-300)
 
-    def _dt_result(
-        self, ws: Workspace, Fz, geo: GeometryAtPoints, points: PointData
-    ) -> ForceResult:
-        """A valid result whose `dt_zones` (in the `ws` buffer) holds the
+    def _dt_result(self, Fz, geo: GeometryAtPoints, points: PointData) -> ForceResult:
+        """A valid result whose `dt_zones` (a workspace buffer) holds the
         per-zone minima of one `_dt_points` pass; dt_est is their min
         (exact, so the same value as the min over every point)."""
-        dt_zones = ws.get("dt_zones", (geo.det.shape[0],))
+        dt_zones = self.workspace.get("dt_zones", (geo.det.shape[0],))
         np.min(self._dt_points(points, geo), axis=1, out=dt_zones)
         return ForceResult(Fz, geo, points, float(dt_zones.min(initial=np.inf)),
                            valid=True, dt_zones=dt_zones)
 
-    def prepare_subset(self, zone_ids) -> ZoneSubset:
-        """Prepare a zone subset for `compute_subset`; the engine keeps
-        it (`subsets`) until `release_subset`."""
-        zones = np.asarray(zone_ids, dtype=np.int64).reshape(-1)
-        subset = ZoneSubset(
-            zones=zones,
-            ldof=self._ldof[zones],
-            ldof_l2=self.thermodynamic.ldof[zones],
-            mass_qp=self.mass_qp[zones],
-            eos=self._eos_for_zones(zones),
-            workspace=Workspace(arena=self.workspace.arena),
-        )
-        self.subsets.append(subset)
-        return subset
-
-    def release_subset(self, subset: ZoneSubset) -> None:
-        """Return a subset's workspace leases to the arena and drop it."""
-        subset.workspace.close()
-        self.subsets.remove(subset)
-
-    def _eos_for_zones(self, zone_ids: np.ndarray):
-        """Slice a per-zone-gamma EOS down to a zone subset."""
-        gamma = getattr(self.eos, "gamma", None)
-        if gamma is None or np.ndim(gamma) == 0:
-            return self.eos
-        g = np.asarray(gamma).reshape(self.kinematic.mesh.nzones, -1)
-        return type(self.eos)(g[zone_ids])
-
-    def compute_subset(self, state: HydroState, subset: ZoneSubset) -> ForceResult:
-        """Fused corner-force evaluation of a prepared zone subset.
-
-        The per-zone arithmetic is `compute`'s (the same elementwise
-        stages and GEMMs) on the subset's gathered rows, and every
-        contraction reduces within a zone: the subset of every zone in
-        order gives the bits of the full-batch `compute`, and a fixed
-        partition gives the same bits however its subsets are scheduled.
-        Other subsets agree with the full-batch rows up to the GEMMs'
-        BLAS blocking (~1e-18 absolute).
-
-        `Fz` (leading dimension len(zones)), geometry and points live in
-        the subset's workspace until its next evaluation; `dt_zones`
-        holds the per-zone CFL minima of the one `_dt_points` pass. An
-        empty subset gives a valid zero-row result with dt_est = inf.
-        """
-        n = subset.zones.size
-        _, ndz, dim, ndl2 = self._fz_shape
-        ws = subset.workspace
-        geo = self._zone_geometry(ws, state.x, subset.ldof, "")
-        if not geo.check_valid():
-            return ForceResult(np.zeros((n, ndz, dim, ndl2)), geo, None, 0.0, valid=False)
-        ez = ws.get("ez", (n, ndl2))
-        np.take(state.e, subset.ldof_l2, axis=0, out=ez)
-        Fz, points = self._fused_stages(
-            ws, geo, state.v, subset.ldof, ez, subset.mass_qp, subset.eos, "Fz", None
-        )
-        return self._dt_result(ws, Fz, geo, points)
-
     def _fused_stages(
-        self, ws: Workspace, geo: GeometryAtPoints, v: np.ndarray, ldof: np.ndarray,
-        ez: np.ndarray, mass_qp: np.ndarray, eos, fz_name: str, tr,
+        self, geo: GeometryAtPoints, v: np.ndarray, ez: np.ndarray, fz_name: str
     ) -> tuple[np.ndarray, PointData]:
-        """Kernels 2/4 and the kernel 5/6/7 force assembly into the `ws`
-        buffer `fz_name`, shared by the full batch and zone subsets:
-        `ldof`, `ez`, `mass_qp` and `eos` are the zones' velocity gather
-        rows, L2 energy coefficients, pointwise mass and EOS; `tr` gets
-        one kernel span per stage (None: no spans).
+        """Kernels 2/4 and the kernel 5/6/7 force assembly into the
+        workspace buffer `fz_name`, from the velocity `v` and the zones'
+        L2 energy coefficients `ez`; the tracer (if any) gets one kernel
+        span per stage.
 
         The pointwise stage is elementwise over all points; the
         contractions are GEMMs. With T = sigma adj(J)^T per point,
@@ -387,19 +291,20 @@ class ForceEngine:
         the weighted B, so no operator larger than `grad_table` or B
         is ever formed.
         """
+        ws, tr, eos = self.workspace, self.tracer, self.eos
         n, nqp = geo.det.shape
-        ndz, dim = ldof.shape[1], self.kinematic.dim
+        ndz, dim = self._ldof.shape[1], self.kinematic.dim
         ndl2 = self._fz_shape[-1]
         plane = ws.get("plane", (n, nqp))
         with tr.span(_K_STRESS, category="kernel") if tr else NULL_SPAN:
             rho = ws.get("rho", (n, nqp))
-            np.divide(mass_qp, geo.det, out=rho)
+            np.divide(self.mass_qp, geo.det, out=rho)
             e_qp = ws.get("e_qp", (n, nqp))
             np.matmul(ez, self.basis_l2_T, out=e_qp)
             p = eos.pressure(rho, e_qp)
             cs = eos.sound_speed(rho, e_qp)
             vc = ws.get("vc", (dim, n, ndz))
-            np.take(v.T, ldof, axis=1, out=vc)
+            np.take(v.T, self._ldof, axis=1, out=vc)
             ref_grad = ws.get("ref_grad_v", (n, nqp, dim, dim))
             reference_gradients(vc, self.grad_table, ref_grad)
             grad_v = ws.get("grad_v", (n, nqp, dim, dim))
@@ -407,7 +312,7 @@ class ForceEngine:
             sigma, mu_max = self._visc_kernel.compute(grad_v, geo, rho, cs, ws)
             for d in range(dim):
                 sigma[..., d, d] -= p
-        Fz = ws.get(fz_name, (n,) + self._fz_shape[1:])
+        Fz = ws.get(fz_name, self._fz_shape)
         with tr.span(_K_FORCE, category="kernel") if tr else NULL_SPAN:
             T = ws.get("T", (n, nqp, dim, dim))
             batched_matmul(sigma, geo.adj.swapaxes(-1, -2), T, plane)
@@ -436,12 +341,9 @@ class ForceEngine:
             )
         slot = self._fz_slot
         self._fz_slot = 1 - slot
-        Fz, points = self._fused_stages(
-            self.workspace, geo, state.v, self._ldof,
-            self.thermodynamic.gather(state.e),  # reshape view, no copy
-            self.mass_qp, self.eos, f"Fz{slot}", tr,
-        )
-        return self._dt_result(self.workspace, Fz, geo, points)
+        ez = self.thermodynamic.gather(state.e)  # reshape view, no copy
+        Fz, points = self._fused_stages(geo, state.v, ez, f"Fz{slot}")
+        return self._dt_result(Fz, geo, points)
 
 
 class SumfactStress:
@@ -482,8 +384,8 @@ class SumfactForceEngine(ForceEngine):
 
     Agrees with the fused engine to contraction-reordering roundoff (the
     documented parity budget is 1e-10 relative per evaluation). The
-    geometry cache and the fused `compute_subset` are inherited (over
-    the factorized Jacobians). Under ranks a sumfact node runs this
+    geometry cache is inherited (over the factorized Jacobians). Under
+    ranks a sumfact node runs this
     `compute`, as in a single process, and the resilience layer composes
     as with the other engines.
     """
@@ -551,7 +453,7 @@ class SumfactForceEngine(ForceEngine):
             batched_matmul(sigma, geo.adj.swapaxes(-1, -2), T, plane)
             T *= self.quad.weights[:, None, None]
         points = PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
-        return self._dt_result(ws, SumfactStress(T, self._fz_shape), geo, points)
+        return self._dt_result(SumfactStress(T, self._fz_shape), geo, points)
 
     # -- matrix-free force applications --------------------------------------
 

@@ -121,6 +121,10 @@ class LagrangianHydroSolver:
     code never runs.
     """
 
+    #: Always None: every backend evaluates the corner force in
+    #: process. Kept only because perfbench's solver workloads read it.
+    executor = None
+
     def __init__(self, problem, config: RunConfig | None = None,
                  tracer=None, backend=None, arena: Arena | None = None):
         if config is None:
@@ -129,10 +133,10 @@ class LagrangianHydroSolver:
             raise TypeError(f"config must be a RunConfig, got {type(config).__name__}")
         self.problem = problem
         self.config = config
-        # The pool allocator behind every workspace this solver creates
-        # (engine, zone subsets). A shared arena — e.g. the service
-        # warm pool's — lets a retired solver's blocks satisfy the next
-        # solver's leases even across mesh-size changes.
+        # The pool allocator behind the engine's workspace. A shared
+        # arena — e.g. the service warm pool's — lets a retired solver's
+        # blocks satisfy the next solver's leases even across mesh-size
+        # changes.
         self.arena = arena if arena is not None else Arena(name="solver")
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None
         mesh = problem.mesh
@@ -163,9 +167,7 @@ class LagrangianHydroSolver:
 
             name = config.resolved_backend
             node_kwargs = {}
-            if name == "cpu-parallel":
-                node_kwargs = {"workers": config.workers or None}
-            elif name == "hybrid":
+            if name == "hybrid":
                 node_kwargs = {"device": config.hybrid_device}
             if config.ranks > 0:
                 from repro.backends.distributed import DistributedBackend
@@ -206,7 +208,6 @@ class LagrangianHydroSolver:
         self.integrator = make_integrator(
             config.integrator, self.engine, self.momentum, self.mass_e
         )
-        self.executor = getattr(self.backend, "executor", None)
         self.integrator.force_fn = self.backend.force_fn
 
         # Late backend hook: the distributed backend builds everything
@@ -233,7 +234,7 @@ class LagrangianHydroSolver:
         fresh in-band scheduler (which re-reads the tuning cache, so a
         pooled hybrid solver warm-starts from the previous job's
         winners). Everything expensive — spaces, quadrature, mass
-        matrices, backend/executor, momentum solver — is untouched: a
+        matrices, backend, momentum solver — is untouched: a
         reset + `run` reproduces a cold solver's trajectory bit-for-bit
         at a fraction of the setup cost.
         """
@@ -325,28 +326,23 @@ class LagrangianHydroSolver:
     def release_workspaces(self) -> None:
         """Return every engine workspace lease to the arena.
 
-        Covers the engine's own workspace and those of its live zone
-        subsets (executor chunks). Only for solver
-        retirement (service warm-pool eviction): the engine's buffers
-        become invalid, but a shared arena can hand the blocks to the
-        next pooled solver. A closed-but-live solver (see `close`) must
-        NOT release — `close` keeps the engine usable.
+        Only for solver retirement (service warm-pool eviction): the
+        engine's buffers become invalid, but a shared arena can hand the
+        blocks to the next pooled solver. A closed-but-live solver (see
+        `close`) must NOT release — `close` keeps the engine usable.
         """
         engine = getattr(self, "engine", None)
-        if engine is None:
-            return
-        engine.workspace.close()
-        for subset in engine.subsets:
-            subset.workspace.close()
+        if engine is not None:
+            engine.workspace.close()
 
     def swap_backend(self, name: str) -> None:
         """Replace the execution backend mid-run (resilience fallback).
 
         Builds and attaches the new backend, repoints the integrator's
-        force evaluator, closes the old backend's resources, and stops
-        any in-band scheduler (its pricing model described hardware that
-        is no longer carrying the run). Physics is unaffected: every
-        backend evaluates the same arithmetic.
+        force evaluator, and stops any in-band scheduler (its pricing
+        model described hardware that is no longer carrying the run).
+        Physics is unaffected: every backend evaluates the same
+        arithmetic.
         """
         old = self.backend
         from repro.backends import make_backend
@@ -355,7 +351,6 @@ class LagrangianHydroSolver:
         new.attach(self)
         self.backend = new
         self.engine = new.engine
-        self.executor = getattr(new, "executor", None)
         self.integrator.force_fn = new.force_fn
         if old.name == "distributed":
             # Leaving the simulated-MPI layer: restore the serial
@@ -366,19 +361,14 @@ class LagrangianHydroSolver:
             )
             self.integrator.momentum = self.momentum
             self.integrator.assemble_fn = None
-        old.close()
         if self.scheduler is not None:
             self.scheduler.reset()
 
     def close(self) -> None:
-        """Shut down the backend (worker pools + shared memory)."""
+        """Finalize the in-band scheduler (closing any open tuning-period
+        span); the solver stays usable."""
         if self.scheduler is not None:
             self.scheduler.finalize()
-        if self.backend is not None:
-            self.backend.close()
-        if self.executor is not None:
-            self.executor = None
-            self.integrator.force_fn = self.engine.compute
 
     def __enter__(self) -> "LagrangianHydroSolver":
         return self

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigError
+
 __all__ = ["TimestepController"]
 
 
@@ -36,7 +38,7 @@ class TimestepController:
 
     def __post_init__(self):
         if not (0 < self.cfl <= 1.0):
-            raise ValueError("cfl must be in (0, 1]")
+            raise ConfigError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.growth < 1.0:
             raise ValueError("growth must be >= 1")
         if not (0 < self.shrink < 1):

@@ -17,9 +17,8 @@ Since the sum-factorization refactor the backing store is a
 `repro.runtime.arena.Arena`: a miss leases an aligned block from the
 arena's size-bucketed free lists (returning the displaced block when a
 name changes shape), so allocation discipline survives mesh-size changes
-and solver reuse — several workspaces, e.g. all zone-subset workspaces
-of one engine or all solvers in a service warm pool, can share one
-arena.
+and solver reuse — several workspaces, e.g. those of all solvers in a
+service warm pool, can share one arena.
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ lives with the solver: its `WorkloadRecorder` is the run's one phase
 record (`repro.hydro.solver`).
 
 Submodules are resolved lazily (PEP 562): `repro.runtime.arena` sits
-below `repro.hydro.workspace` in the import graph, while `parallel`/
-`hybrid` sit above `repro.hydro` — eager imports here would close an
-import cycle through `corner_force`.
+below `repro.hydro.workspace` in the import graph, while `hybrid` sits
+above `repro.hydro` — eager imports here would close an import cycle
+through `corner_force`.
 """
 
 _EXPORTS = {
@@ -27,9 +27,6 @@ _EXPORTS = {
     "HybridExecutor": "repro.runtime.hybrid",
     "ExecutionReport": "repro.runtime.hybrid",
     "StepBreakdown": "repro.runtime.hybrid",
-    "ZoneParallelExecutor": "repro.runtime.parallel",
-    "PersistentWorkerPool": "repro.runtime.workers",
-    "WorkerError": "repro.runtime.workers",
     "Arena": "repro.runtime.arena",
     "Lease": "repro.runtime.arena",
 }

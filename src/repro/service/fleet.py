@@ -24,9 +24,9 @@ behavior:
   and serves what did bit-identically from the store;
 * **warm state** — non-resilient jobs run on pooled
   `LagrangianHydroSolver`s (`solver.reset()` between jobs), reusing
-  spaces, mass matrices, workspaces, and executor processes; hybrid
-  jobs share one device-fingerprinted `TuningCache`, so the first job
-  pays tuning and the rest warm-start.
+  spaces, mass matrices and workspaces; hybrid jobs share one
+  device-fingerprinted `TuningCache`, so the first job pays tuning and
+  the rest warm-start.
 
 `rollup()` aggregates fleet telemetry (jobs/s, latency percentiles,
 joules per metered job, shed/retried/degraded counts); the
@@ -124,11 +124,9 @@ def _warm_key(problem: str, cfg: RunConfig) -> tuple:
 
     A pooled solver runs with the config it was built from, so the key
     is the whole config except `t_final`, which `run` takes per job,
-    with the backend resolved so `workers=2` and
-    `backend="cpu-parallel", workers=2` share. A pooled cpu-parallel
-    solver carries its forked `ZoneParallelExecutor`, so the next job
-    with the same key dispatches into already-warm workers; a
-    distributed one keeps its partition, communicator and plan.
+    with the backend resolved so `backend=None` and `"cpu-fused"`
+    share. A pooled distributed solver keeps its partition,
+    communicator and plan.
     """
     return (problem, cfg.replace(t_final=None, backend=cfg.resolved_backend))
 
@@ -558,7 +556,7 @@ class SimulationFleet:
         effective, degraded, breaker = self.breakers.route(requested)
         cfg = spec.config
         if degraded:
-            cfg = cfg.replace(backend=effective, workers=0, offload_device=None)
+            cfg = cfg.replace(backend=effective, offload_device=None)
             with self._lock:
                 self._stats["degraded"] += 1
             self._event("job_degraded", job_id=spec.job_id,

@@ -131,7 +131,8 @@ class JobSpec:
         lost its `engine` and `rank_step` fields, or before the staged
         `cpu-serial` backend was folded into `cpu-fused`, still load:
         both keys are dropped whatever their value, and `cpu-serial`
-        becomes `cpu-fused`."""
+        becomes `cpu-fused`. Retired spellings that `RunConfig` still
+        accepts are rewritten there."""
         config = dict(d["config"])
         config.pop("engine", None)
         config.pop("rank_step", None)

@@ -42,7 +42,6 @@ DEFAULT_PHASE_UTILIZATION = {
     "run": 0.15,
     "category:kernel": 1.0,
     "category:phase": 1.0,
-    "category:executor": 1.0,
     None: 0.0,  # no span open: process idle
 }
 

@@ -1,9 +1,9 @@
 """Tests for the execution-backend seam and the in-band scheduler.
 
-Covers the `repro.backends` registry (four policies behind one
+Covers the `repro.backends` registry (three policies behind one
 `RunConfig.backend` string), the physics contract between them
-(cpu-fused / cpu-parallel / hybrid bitwise identical on tier-1 meshes),
-`workers=` resolving to cpu-parallel, the `repro.sched.OnlineScheduler`
+(cpu-fused / hybrid bitwise identical on tier-1 meshes), the backend
+name resolution, the `repro.sched.OnlineScheduler`
 (convergence within the paper's 12-14 sampling periods, cache
 persistence, warm start skipping the campaign), `TuningCache`
 corruption recovery, and the resilient driver's hybrid -> cpu-fused
@@ -26,7 +26,6 @@ from repro import LagrangianHydroSolver, SedovProblem
 from repro.api import RunConfig, run
 from repro.backends import (
     BACKEND_NAMES,
-    CpuParallelBackend,
     ExecutionBackend,
     HybridBackend,
     make_backend,
@@ -90,7 +89,7 @@ class TestBackendRegistry:
             solver.close()
 
     def test_smoke_unknown_backend_raises_with_choices(self):
-        for name in ("tpu", "cpu-serial"):
+        for name in ("tpu", "cpu-serial", "cpu-parallel"):
             with pytest.raises(ValueError, match="cpu-fused"):
                 make_backend(name)
 
@@ -120,33 +119,15 @@ class TestBackendPhysics:
     def test_smoke_backends_bit_identical(self):
         """Acceptance: the backends agree on a 2-step Sedov run.
 
-        cpu-fused, cpu-parallel and hybrid share the fused arithmetic
-        and must match *bitwise* (the loop reference check lives in
-        test_hotpath and test_corner_force).
+        cpu-fused and hybrid share the fused arithmetic and must match
+        *bitwise* (the loop reference check lives in test_hotpath and
+        test_corner_force).
         """
         hashes = {}
         for name in BACKEND_NAMES:
             res, _ = run_backend(name)
             hashes[name] = state_hash(res.state)
-        assert hashes["cpu-fused"] == hashes["cpu-parallel"] == hashes["hybrid"]
-
-    def test_parallel_pinned_chunks_worker_count_never_changes_bits(self):
-        """Pinning `chunks=K` makes the span partition — and therefore
-        the result bits — invariant under the worker count. (The default
-        partition is chunks == workers, which trades that invariance for
-        the coarsest, fastest schedule; the bitwise-vs-serial contract
-        at the default lives in test_hotpath.)"""
-        hashes = []
-        for workers in (2, 3):
-            solver = LagrangianHydroSolver(
-                sedov(8), backend=CpuParallelBackend(workers=workers, chunks=4)
-            )
-            try:
-                res = solver.run(t_final=FAR, max_steps=2)
-                hashes.append(state_hash(res.state))
-            finally:
-                solver.close()
-        assert hashes[0] == hashes[1]
+        assert hashes["cpu-fused"] == hashes["hybrid"]
 
     def test_hybrid_matches_fused_on_larger_mesh(self):
         hf = state_hash(run_backend("cpu-fused", zones=8)[0].state)
@@ -155,13 +136,13 @@ class TestBackendPhysics:
 
 
 # ---------------------------------------------------------------------------
-# `workers` and `backend` resolve into one backend name
+# `backend` (and the retired `workers`) resolve into one backend name
 
 
 class TestDeprecatedKnobs:
     def test_smoke_legacy_knobs_resolve_to_backends(self):
         assert RunConfig().resolved_backend == "cpu-fused"
-        assert RunConfig(workers=2).resolved_backend == "cpu-parallel"
+        assert RunConfig(workers=2).resolved_backend == "cpu-fused"
         assert RunConfig(backend="cpu-sumfact").resolved_backend == "cpu-sumfact"
         assert RunConfig(backend="hybrid").resolved_backend == "hybrid"
 
@@ -440,8 +421,8 @@ class TestBackendSwapOnFault:
         solver = LagrangianHydroSolver(sedov())
         try:
             assert solver.backend.name == "cpu-fused"
-            solver.swap_backend("cpu-parallel")
-            assert solver.backend.name == "cpu-parallel"
+            solver.swap_backend("hybrid")
+            assert solver.backend.name == "hybrid"
             assert solver.integrator.force_fn == solver.backend.force_fn
             res = solver.run(t_final=FAR, max_steps=2)
             assert res.steps == 2

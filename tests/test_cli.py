@@ -49,6 +49,16 @@ class TestRun:
                    "--restore", str(chk)])
         assert rc == 0
 
+    def test_run_prints_phase_split(self, capsys):
+        rc = main(["run", "sedov", "--zones", "3", "--t-final", "1.0",
+                   "--max-steps", "3"])
+        assert rc == 0
+        phase = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("phase wall time")]
+        assert len(phase) == 1
+        assert " force " in phase[0] and " cg " in phase[0] and " other " in phase[0]
+        assert "workers" not in phase[0]
+
     def test_distributed_run(self, capsys):
         rc = main(["run", "sedov", "--zones", "3", "--t-final", "0.01",
                    "--ranks", "2"])
@@ -164,15 +174,6 @@ class TestErrorPaths:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice" in err
-        assert "Traceback" not in err
-
-    def test_workers_with_hybrid_backend_misuse(self, capsys):
-        rc = main(["run", "sedov", "--zones", "3", "--t-final", "0.01",
-                   "--workers", "4", "--backend", "hybrid"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "workers=4 conflicts with backend='hybrid'" in err
-        assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
     def test_corrupt_tuning_cache_lenient_runs(self, tmp_path, capsys):

@@ -3,9 +3,11 @@
 `RunConfig` is the solver's only configuration type. The second
 spellings that converted to and from it are deleted, so the old ones
 fail loudly; the direct-construction paths that remain produce the same
-bits as `repro.api.run`.
+bits as `repro.api.run`. The one retired spelling `RunConfig` still
+accepts, `cpu-parallel` (and `workers` > 0), runs as `cpu-fused`.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -85,9 +87,13 @@ class TestRemovedSpellings:
              "invalid choice"),
             (["bench", "scaling", "--quick", "--workers", "2",
               "--json", "<tmp>"], "unrecognized arguments"),
+            (["run", "sedov", "--zones", "3", "--t-final", "0.005",
+              "--workers", "2", "--json"], "unrecognized arguments"),
+            (["run", "sedov", "--zones", "3", "--t-final", "0.005",
+              "--backend", "cpu-parallel", "--json"], "invalid choice"),
         ],
         ids=["run-engine", "run-backend-cpu-serial", "bench-hotpath",
-             "bench-scaling-workers"],
+             "bench-scaling-workers", "run-workers", "run-backend-cpu-parallel"],
     )
     def test_cli_removed_spellings_rejected(self, argv, message, tmp_path, capsys):
         """Each removed CLI spelling exits 2 with a usage line. A bench
@@ -102,3 +108,37 @@ class TestRemovedSpellings:
         err = capsys.readouterr().err
         assert err.startswith("usage: repro")
         assert message in err
+
+
+class TestRetiredParallelSpelling:
+    """The fork-based worker pool is deleted. `RunConfig` rewrites its
+    spelling, `backend="cpu-parallel"` or `workers` > 0, to the
+    `cpu-fused` config that now runs it, so old callers and journals
+    keep working, in process."""
+
+    def test_smoke_configs_equal_their_cpu_fused_configs(self):
+        fused = RunConfig(backend="cpu-fused")
+        assert RunConfig(backend="cpu-parallel", workers=2) == fused
+        assert RunConfig(workers=2) == fused
+        assert RunConfig(backend="cpu-parallel") == fused
+        assert RunConfig(workers=2, ranks=2) == fused.replace(ranks=2)
+        assert RunConfig(workers=2).describe() == {"backend": "cpu-fused"}
+
+    @pytest.mark.parametrize("ranks", [0, 2])
+    def test_smoke_runs_the_cpu_fused_state_in_process(self, ranks, monkeypatch):
+        base = RunConfig(zones=4, t_final=1.0, max_steps=3, ranks=ranks)
+        fused = run("sedov", base.replace(backend="cpu-fused"))
+
+        def no_fork():
+            raise AssertionError("a child process was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        retired = run("sedov", base.replace(backend="cpu-parallel", workers=2))
+        assert retired.solver.executor is None
+        assert retired.manifest.solver["execution"] == {
+            "ranks": ranks, "backend": "cpu-fused"}
+        assert retired.steps == fused.steps == 3
+        for name in ("v", "e", "x"):
+            assert np.array_equal(getattr(retired.state, name),
+                                  getattr(fused.state, name))
+        assert retired.state.t == fused.state.t

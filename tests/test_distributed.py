@@ -36,6 +36,8 @@ def make_solver(nranks=4, backend=None, zones=4, **cfg_kw):
 class TestCompositionMatrix:
     """`ranks` composes with every node backend (the tentpole)."""
 
+    # "cpu-parallel" is the retired pool spelling; `RunConfig` rewrites it
+    # to the cpu-fused node, so old callers still compose with ranks.
     @pytest.mark.parametrize(
         "backend", ["cpu-fused", "cpu-sumfact", "cpu-parallel", "hybrid"]
     )
@@ -88,28 +90,29 @@ class TestCompositionMatrix:
         assert np.allclose(res_s.state.v, res_d.state.v, atol=1e-10)
 
     def test_smoke_workers_compose_with_ranks(self):
-        """The old workers-xor-ranks restriction is gone."""
+        """The retired `workers` spelling composes with ranks: the node
+        is the cpu-fused backend it now names."""
         cfg = RunConfig(workers=2, ranks=2, zones=4, max_steps=3)
-        assert cfg.resolved_backend == "cpu-parallel"
-        assert cfg.resolved_execution == {
-            "ranks": 2, "backend": "cpu-parallel", "workers": 0,
-        }
+        assert cfg.resolved_backend == "cpu-fused"
+        assert cfg.resolved_execution == {"ranks": 2, "backend": "cpu-fused"}
         report = run("sod", cfg)
         assert report.steps == 3
+        assert report.solver.backend.node.name == "cpu-fused"
 
     def test_smoke_ranks_start_no_worker_pool(self, capsys):
-        """Under ranks the rank is the parallel unit: a cpu-parallel node
-        evaluates in-process, so no pool is built, reported or printed."""
+        """Under ranks the rank is the parallel unit: the retired
+        cpu-parallel spelling runs the cpu-fused node in-process, so no
+        pool is built, reported or printed."""
         with make_solver(nranks=2, workers=2) as solver:
-            assert solver.config.resolved_backend == "cpu-parallel"
+            assert solver.config.resolved_backend == "cpu-fused"
             assert solver.executor is None
         report = run("sod", RunConfig(workers=2, ranks=2, zones=4, max_steps=3))
-        assert report.executor_workers is None
+        assert report.solver.executor is None
         assert "worker_pool" not in report.manifest.solver
         from repro.cli import main
 
         assert main(["run", "sod", "--zones", "4", "--t-final", "1.0",
-                     "--max-steps", "3", "--workers", "2", "--ranks", "2"]) == 0
+                     "--max-steps", "3", "--ranks", "2"]) == 0
         phase = [ln for ln in capsys.readouterr().out.splitlines()
                  if ln.startswith("phase wall time")]
         assert len(phase) == 1 and "workers" not in phase[0]
@@ -378,32 +381,9 @@ class TestDistributedMechanics:
                 backend=DistributedBackend(2, zone_rank=np.zeros(3, dtype=int)),
             )
 
-    def test_smoke_subset_matches_global(self):
-        """A rank's zone subset gives the full batch's rows of F_z and of
-        the per-zone dt; the subset of every zone gives its exact bits."""
-        solver = make_solver(nranks=2)
-        solver.run(t_final=1.0, max_steps=3)  # moving mesh, viscosity on
-        engine, state = solver.engine, solver.state
-        full = engine.compute(state)
-        Fz = full.Fz.copy()
-        dt_zones = engine._dt_points(full.points, full.geometry).min(axis=1)
-        for rank in solver.backend.ranks:
-            local = engine.compute_subset(state, engine.prepare_subset(rank.zones))
-            assert np.allclose(local.Fz, Fz[rank.zones], atol=1e-14)
-            assert np.allclose(local.dt_zones, dt_zones[rank.zones], atol=1e-14)
-        every = engine.prepare_subset(np.arange(solver.problem.mesh.nzones))
-        res = engine.compute_subset(state, every)
-        np.testing.assert_array_equal(res.Fz, Fz)
-        assert res.dt_est == full.dt_est
-
-    def test_smoke_subset_empty(self):
-        """An empty subset is a valid zero-row result; a 1-rank run (no
-        interface zones) posts an empty interface exchange."""
-        solver = make_solver(nranks=2)
-        engine = solver.engine
-        res = engine.compute_subset(solver.state, engine.prepare_subset([]))
-        assert res.valid
-        assert res.Fz.shape[0] == 0 and res.dt_zones.shape == (0,)
+    def test_smoke_one_rank_posts_empty_exchange(self):
+        """A 1-rank run has no interface zones: it posts an empty
+        interface exchange and keeps the engine's own dt."""
         one = make_solver(nranks=1)
         assert one.backend._vec_plan.ifz.size == 0
         dist = one.integrator.force_fn(one.state)
@@ -430,7 +410,7 @@ class TestDistributedMechanics:
     def test_smoke_one_engine_call_per_evaluation(self, monkeypatch):
         """A rank step is one call of the node engine's own `compute`
         and four comm calls (post + wait of the stacked exchange and of
-        the dt minimum); the backend prepares no zone subset."""
+        the dt minimum)."""
         solver = make_solver(nranks=4)
         engine, comm = solver.engine, solver.backend.comm
         calls = {"compute": 0, "comm": 0}
@@ -447,12 +427,10 @@ class TestDistributedMechanics:
         for _ in range(3):
             solver.integrator.force_fn(solver.state)
         assert calls == {"compute": 3, "comm": 12}
-        assert engine.subsets == []
 
-    def test_smoke_subset_workspaces_do_not_leak(self):
-        """The rank step prepares no zone subset: live arena leases stay
-        flat over run/reset cycles with elastic resizes, and
-        `release_workspaces` returns every one of them."""
+    def test_smoke_rank_step_workspaces_do_not_leak(self):
+        """Live arena leases stay flat over run/reset cycles with elastic
+        resizes, and `release_workspaces` returns every one of them."""
         solver = make_solver(nranks=4, zones=6, rank_schedule="3:8,6:2")
         live = []
         for cycle in range(3):
@@ -462,21 +440,18 @@ class TestDistributedMechanics:
             assert [h["nranks"] for h in solver.backend.rank_history] == [8, 2]
             live.append(solver.arena.stats()["live_leases"])
         assert live == [live[0]] * 3
-        assert solver.engine.subsets == []
         solver.release_workspaces()
         assert solver.arena.stats()["live_leases"] == 0
 
-    def test_smoke_subset_steady_state_buffer_ids_stable(self):
-        """The rank step prepares no zone subset, and after warm-up the
-        engine workspace it evaluates in is reused: no new buffers, no
-        misses."""
+    def test_smoke_rank_step_buffer_ids_stable(self):
+        """After warm-up the engine workspace the rank step evaluates in
+        is reused: no new buffers, no misses."""
         cfg = RunConfig(zones=6, order=2, ranks=8)
         solver = LagrangianHydroSolver(make_problem("triple-pt", cfg), cfg)
         solver.run(t_final=10.0, max_steps=2)
         ws = solver.engine.workspace
         ids, misses = ws.buffer_ids(), ws.misses
         solver.run(t_final=10.0, max_steps=4)
-        assert solver.engine.subsets == []
         assert ws.buffer_ids() == ids
         assert ws.misses == misses
 

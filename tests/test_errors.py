@@ -1,8 +1,18 @@
-"""The unified `repro.errors` hierarchy and its single exit-code map."""
+"""The unified `repro.errors` hierarchy and its single exit-code map.
+
+Also: bad run knobs end in a typed `ConfigError`, raised where each
+check lives, never in a traceback from deep inside a run (the
+`test_smoke_*` cases and a `hypothesis` sweep over `RunConfig`).
+"""
+
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import RunConfig
+from repro.api import run
+from repro.config import BACKEND_NAMES, RunConfig
 from repro.errors import (
     ConfigError,
     CorruptionError,
@@ -76,3 +86,75 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "re-run without --strict-journal" in err
+
+
+class TestTypedConfigErrors:
+    """Each bad knob raises `ConfigError` naming its value; the CLI
+    prints that one line and exits 2."""
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_smoke_energy_every_below_one_rejected(self, every):
+        with pytest.raises(ConfigError, match=f"energy_every must be >= 1, got {every}"):
+            RunConfig(energy_every=every)
+
+    @pytest.mark.parametrize("cfg, message", [
+        (RunConfig(zones=0), "need at least one zone per direction, got 0x0"),
+        (RunConfig(dim=3, order=1, zones=0),
+         "need at least one zone per direction, got 0x0x0"),
+        (RunConfig(zones=3, cfl=0.0), "cfl must be in (0, 1], got 0.0"),
+        (RunConfig(zones=3, ranks=50), "50 parts for 9 zones: more parts than zones"),
+        # A scheduled resize past the zone count fails at the same check.
+        (RunConfig(zones=2, ranks=2, rank_schedule="1:5"),
+         "5 parts for 4 zones: more parts than zones"),
+    ], ids=["zones-0", "zones-0-3d", "cfl-0", "ranks-50", "resize-past-zones"])
+    def test_smoke_run_raises_config_error(self, cfg, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run("sedov", cfg.replace(t_final=1.0, max_steps=3))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--zones", "0"], "need at least one zone per direction, got 0x0"),
+        (["--dim", "3", "--order", "1", "--zones", "0"],
+         "need at least one zone per direction, got 0x0x0"),
+        (["--cfl", "0"], "cfl must be in (0, 1], got 0.0"),
+        (["--ranks", "50", "--zones", "3"], "50 parts for 9 zones: more parts than zones"),
+    ], ids=["zones-0", "zones-0-3d", "cfl-0", "ranks-50"])
+    def test_smoke_cli_exits_2_with_one_line(self, argv, message, capsys):
+        from repro.cli import main
+
+        assert main(["run", "sedov", "--t-final", "0.01", *argv]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
+
+# Small ranges around every validated boundary: mesh size, order, CFL,
+# energy cadence, rank counts and schedules, backend names (the retired
+# `cpu-parallel` included) and the retired `workers`.
+_configs = st.builds(
+    dict,
+    zones=st.integers(0, 3),
+    order=st.integers(1, 3),
+    cfl=st.none() | st.floats(-0.5, 1.5),
+    energy_every=st.integers(-2, 3),
+    ranks=st.integers(0, 12),
+    rank_schedule=st.none() | st.builds(
+        "{}:{}".format, st.integers(1, 3), st.integers(1, 12)),
+    backend=st.sampled_from((None, "cpu-parallel") + BACKEND_NAMES),
+    workers=st.integers(0, 3),
+)
+
+
+class TestRunConfigProperty:
+    # Derandomized: every run draws the same 100 configs, so tier-1
+    # cannot fail on a draw that no earlier run made.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(fields=_configs)
+    def test_config_error_or_a_completed_run(self, fields):
+        """Every drawn config either raises `ConfigError` (from
+        `RunConfig` or from building and running its solver) or
+        completes a 2-step run; no other exception escapes."""
+        try:
+            cfg = RunConfig(**fields)
+            report = run("sedov", cfg, max_steps=2)
+        except ConfigError:
+            return
+        assert report.steps >= 1
+        assert cfg.workers == 0 and cfg.resolved_backend in BACKEND_NAMES

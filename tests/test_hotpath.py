@@ -1,12 +1,11 @@
 """Hot-path guarantees: allocation discipline, engine parity, phase metering.
 
-Covers the fused workspace engine, the per-stage geometry cache, the
-shared-memory zone-parallel executor and the solver's phase breakdown:
+Covers the fused workspace engine, the per-stage geometry cache and the
+solver's phase breakdown:
 
-* the engine and the parallel executor agree with the loop reference
-  (`corner_force_loops`, `tensor_viscosity`) on a randomized curved mesh
-  to the 1e-13 parity budget, and the parallel executor is *bitwise*
-  identical to its serially-executed chunking;
+* the engine agrees with the loop reference (`corner_force_loops`,
+  `tensor_viscosity`) on a randomized curved mesh to the 1e-13 parity
+  budget;
 * steady-state solver steps allocate no new workspace buffers (buffer
   identities frozen after warmup) and no persistent heap growth under
   tracemalloc;
@@ -35,7 +34,6 @@ from repro.hydro.state import HydroState
 from repro.hydro.viscosity import tensor_viscosity
 from repro.hydro.workspace import Workspace
 from repro.problems import SodProblem
-from repro.runtime.parallel import ZoneParallelExecutor
 
 PARITY = dict(rtol=1e-13, atol=1e-14)
 
@@ -91,45 +89,6 @@ class TestEngineParity:
             )
             np.testing.assert_allclose(pts.mu_max, mu_max, rtol=1e-13)
 
-    def test_parallel_bitwise_vs_chunked_serial(self, rng):
-        fused = make_engine(2, 6)
-        state = random_state(fused.kinematic, fused.thermodynamic, rng)
-        with ZoneParallelExecutor(fused, workers=2) as ex:
-            par = ex.compute(state)
-            ref = ex.compute_chunked(state)
-            # The multiprocessing layer changes scheduling, never bits.
-            np.testing.assert_array_equal(par.Fz, ref.Fz)
-            assert par.dt_est == ref.dt_est
-            assert par.valid == ref.valid
-            # And the chunked evaluation matches the fused/serial engines
-            # within the parity budget.
-            serial = fused.compute(state)
-            np.testing.assert_allclose(par.Fz, serial.Fz, **PARITY)
-            assert par.dt_est == pytest.approx(serial.dt_est, rel=1e-13)
-
-    def test_parallel_executor_double_buffering(self, rng):
-        fused = make_engine(2, 4)
-        s1 = random_state(fused.kinematic, fused.thermodynamic, rng)
-        s2 = random_state(fused.kinematic, fused.thermodynamic, rng)
-        with ZoneParallelExecutor(fused, workers=2) as ex:
-            r1 = ex.compute(s1)
-            fz1 = r1.Fz.copy()
-            r2 = ex.compute(s2)
-            # r1's buffer survives one further evaluation (RK2's pattern).
-            np.testing.assert_array_equal(r1.Fz, fz1)
-            assert r2.Fz is not r1.Fz
-
-    def test_parallel_solver_run_matches_serial(self):
-        problem = SodProblem()
-        with LagrangianHydroSolver(problem, RunConfig(workers=2)) as par:
-            rp = par.run(max_steps=4)
-        serial = LagrangianHydroSolver(problem, RunConfig())
-        rs = serial.run(max_steps=4)
-        assert rp.steps == rs.steps
-        np.testing.assert_allclose(rp.state.v, rs.state.v, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(rp.state.e, rs.state.e, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(rp.state.x, rs.state.x, rtol=0, atol=1e-12)
-
 
 class TestAllocationDiscipline:
     def test_workspace_reuses_buffers(self):
@@ -156,6 +115,19 @@ class TestAllocationDiscipline:
             fused.compute(states[i % 2])
         assert fused.workspace.buffer_ids() == ids
         assert fused.workspace.misses == misses
+
+    def test_engine_double_buffers_fz(self, rng):
+        """RK2 reads a stage's F_z after the next evaluation: a result's
+        F_z survives one further `compute`, and the third reuses it."""
+        fused = make_engine(2, 4)
+        s1 = random_state(fused.kinematic, fused.thermodynamic, rng)
+        s2 = random_state(fused.kinematic, fused.thermodynamic, rng)
+        r1 = fused.compute(s1)
+        fz1 = r1.Fz.copy()
+        r2 = fused.compute(s2)
+        np.testing.assert_array_equal(r1.Fz, fz1)
+        assert r2.Fz is not r1.Fz
+        assert fused.compute(s1).Fz is r1.Fz
 
     def test_solver_steps_no_persistent_allocations(self):
         solver = LagrangianHydroSolver(
@@ -310,26 +282,6 @@ class TestPhaseMetering:
         got = h1.scatter_add(zvals, out=buf)
         assert got is buf
         np.testing.assert_array_equal(got, expect)
-
-
-class TestCli:
-    def test_run_with_workers(self, capsys):
-        from repro.cli import main
-
-        rc = main(["run", "sod", "--workers", "2", "--max-steps", "3",
-                   "--t-final", "0.01"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "phase wall time" in out and "2 workers" in out
-
-    def test_workers_compose_with_ranks(self, capsys):
-        from repro.cli import main
-
-        rc = main(["run", "sod", "--workers", "2", "--ranks", "2",
-                   "--max-steps", "1"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "simulated MPI traffic" in out
 
 
 class TestAppendBenchRecord:

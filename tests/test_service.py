@@ -439,35 +439,40 @@ class TestFleetSmoke:
 
     def test_smoke_recovers_submit_records_that_carry_engine(self, tmp_path):
         # Submit records journaled while RunConfig still had `engine` and
-        # `rank_step` fields, or while `cpu-serial` was a backend, carry
-        # them in their config; they must recover, with `engine` and
-        # `rank_step` dropped whatever their value and `cpu-serial`
-        # mapped to `cpu-fused`.
+        # `rank_step` fields, or while `cpu-serial` and `cpu-parallel`
+        # were backends, carry them in their config; they must recover,
+        # with `engine` and `rank_step` dropped whatever their value, and
+        # `cpu-serial`, `cpu-parallel` and `workers` > 0 mapped to
+        # `cpu-fused` with no workers.
         journal = tmp_path / "journal.jsonl"
         old = JobJournal(journal)
-        for job_id, key, value, workers in (
-                ("fused", "engine", "fused", 0),
-                ("legacy", "engine", "legacy", 0),
-                ("legacy-workers", "engine", "legacy", 2),
-                ("serial", "backend", "cpu-serial", 0),
-                ("auto", "rank_step", "auto", 0),
-                ("loop", "rank_step", "loop", 0),
-                ("vectorized", "rank_step", "vectorized", 0)):
-            job = JobSpec("sedov", TINY.replace(workers=workers),
-                          job_id=job_id).to_dict()
-            job["config"][key] = value
+        for job_id, fields in (
+                ("fused", {"engine": "fused"}),
+                ("legacy", {"engine": "legacy"}),
+                ("legacy-workers", {"engine": "legacy", "workers": 2}),
+                ("serial", {"backend": "cpu-serial"}),
+                ("parallel", {"backend": "cpu-parallel", "workers": 2}),
+                ("auto", {"rank_step": "auto"}),
+                ("loop", {"rank_step": "loop"}),
+                ("vectorized", {"rank_step": "vectorized"})):
+            job = JobSpec("sedov", TINY, job_id=job_id).to_dict()
+            job["config"].update(fields)
             old.append("submit", job=job)
+        assert '"backend": "cpu-parallel", ' in journal.read_text()
         fleet = inline_fleet(journal_path=journal)
         recovered = {h.job_id: h.spec.config for h in fleet.recovered}
+        fused = TINY.replace(backend="cpu-fused")
         assert recovered == {
             "fused": TINY,
             "legacy": TINY,
-            "legacy-workers": TINY.replace(workers=2),
-            "serial": TINY.replace(backend="cpu-fused"),
+            "legacy-workers": fused,
+            "serial": fused,
+            "parallel": fused,
             "auto": TINY,
             "loop": TINY,
             "vectorized": TINY,
         }
+        assert all(cfg.workers == 0 for cfg in recovered.values())
         fleet.process()
         assert all(h.result.ok for h in fleet.recovered)
         fleet.shutdown(wait=False)

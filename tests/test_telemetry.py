@@ -371,13 +371,10 @@ class TestFacade:
         assert any(r["type"] == "span" for r in lines)
 
     def test_workers_ranks_compose(self):
-        # The old workers-xor-ranks restriction is gone: ranks wrap the
-        # resolved node backend (here cpu-parallel), which evaluates
-        # in-process, so no pool runs.
+        # Ranks wrap the resolved node backend: the retired `workers`
+        # spelling resolves to cpu-fused, which evaluates in process.
         cfg = RunConfig(workers=2, ranks=2)
-        assert cfg.resolved_execution == {
-            "ranks": 2, "backend": "cpu-parallel", "workers": 0,
-        }
+        assert cfg.resolved_execution == {"ranks": 2, "backend": "cpu-fused"}
 
 
 class TestDeprecationShims:
