@@ -432,7 +432,7 @@ class DistributedBackend(_SolverRef):
         self.node.price(replace(FEConfig.from_solver(solver), nzones=n_max))
         sched = getattr(solver, "scheduler", None)
         if sched is not None:
-            sched.reset()
+            sched.finalize()
 
     # -- The distributed corner force ----------------------------------------
 
@@ -541,7 +541,7 @@ class DistributedBackend(_SolverRef):
         self.ranks[rank].node_name = name
         sched = getattr(self.solver, "scheduler", None)
         if sched is not None:
-            sched.reset()
+            sched.finalize()
 
     def exclude_rank(self, rank: int) -> None:
         """Degrade to `nranks - 1` ranks after a simulated rank failure.

@@ -333,8 +333,8 @@ def _cmd_model(args) -> int:
 def _cmd_tune_campaign(args) -> int:
     """Offline tuning campaign through the unified search engine.
 
-    Searches the joint kernel/runtime configuration space once per FE
-    order and per objective, producing the same per-objective cache
+    Searches the space of the three kernel tilings once per FE order
+    and per objective, producing the same per-objective cache
     entries the in-band scheduler writes (keyed backend="hybrid"), so
     `repro run --backend hybrid --tuning-cache PATH` warm-starts from a
     campaign run here — for the matching objective only.
@@ -344,7 +344,7 @@ def _cmd_tune_campaign(args) -> int:
     from repro.kernels import FEConfig
     from repro.kernels.registry import KernelSelection
     from repro.sched import hybrid_param_space
-    from repro.sched.online import BALANCE_KEY, RUNTIME_KEY, winners_from_candidate
+    from repro.sched.online import BALANCE_KEY, winners_from_candidate
     from repro.tuning import AutoBalancer, TuningCache, run_search
 
     spec = get_gpu(args.device)
@@ -373,22 +373,19 @@ def _cmd_tune_campaign(args) -> int:
             result = run_search(space, harness.measure_candidate,
                                 objective=objective, strategy=strategy,
                                 seed=args.seed)
-            winners, runtime = winners_from_candidate(result.best)
+            winners = winners_from_candidate(result.best)
             for kernel, params in winners.items():
                 cache.store(spec, cfg, kernel, params, backend="hybrid",
                             objective=objective)
-            cache.store(spec, cfg, RUNTIME_KEY, runtime, backend="hybrid",
-                        objective=objective)
             if tracer:
                 tracer.end(span)
             # Price the tuned split and balance it (Section 3.3).
             harness.apply_selection(KernelSelection.from_winners(winners))
-            harness.apply_runtime(runtime["fusion"], int(runtime["chunk"]))
             res = AutoBalancer(harness.gpu_time_s, harness.cpu_time_s).balance()
             if res.converged:
                 cache.store(spec, cfg, BALANCE_KEY, {"ratio": res.ratio},
                             backend="hybrid", objective=objective)
-            rows.append((order, objective, result, winners, runtime, res))
+            rows.append((order, objective, result, winners, res))
     if tracer:
         tracer.end(root)
         tracer.finish()
@@ -400,15 +397,14 @@ def _cmd_tune_campaign(args) -> int:
           f"({args.dim}D, {args.zones}^{args.dim} zones, "
           f"strategy {strategy})")
     print(f"{'method':8s} {'objective':>9} {'k3 mats/blk':>11} "
-          f"{'k5 mats/blk':>11} {'k7 cols':>8} {'runtime':>12} "
+          f"{'k5 mats/blk':>11} {'k7 cols':>8} "
           f"{'GPU share':>10} {'evaluated':>12} {'converged':>10}")
-    for order, objective, result, winners, runtime, res in rows:
+    for order, objective, result, winners, res in rows:
         evaluated = (f"{result.evaluations}/{result.feasible_points}")
         print(f"Q{order}-Q{order - 1:<4d} {objective:>9} "
               f"{winners['kernel3']['matrices_per_block']:11d} "
               f"{winners['kernel5']['matrices_per_block']:11d} "
               f"{winners['kernel7']['block_cols']:8d} "
-              f"{runtime['fusion'] + '/' + str(runtime['chunk']):>12} "
               f"{res.ratio:10.2%} {evaluated:>12} "
               f"{'yes' if res.converged else 'no':>10}")
     for order, objective, result, *_ in rows:
@@ -434,9 +430,7 @@ def _cmd_tune(args) -> int:
         return _cmd_tune_campaign(args)
     from repro.gpu import execute_kernel, get_gpu
     from repro.kernels import FEConfig
-    from repro.kernels.k34_custom_gemm import kernel3_cost
-    from repro.kernels.k56_dgemm_batched import kernel5_cost
-    from repro.kernels.k7_force import kernel7_cost
+    from repro.kernels.registry import TUNING_AXES
     from repro.tuning import Autotuner, ParamSpace
     from repro.tuning.cache import TuningCache
 
@@ -445,37 +439,22 @@ def _cmd_tune(args) -> int:
     spec = get_gpu(args.device)
     cfg = FEConfig(dim=args.dim, order=validate_order(args.order),
                    nzones=args.zones**args.dim)
-    builders = {
-        "kernel3": (kernel3_cost, "matrices_per_block", [1, 2, 4, 8, 16, 32, 64, 128]),
-        "kernel5": (kernel5_cost, "matrices_per_block", [1, 2, 4, 8, 16, 32, 64]),
-        "kernel7": (kernel7_cost, "block_cols", [1, 2, 4, 8, 16, 32, 64]),
-    }
-    builder, param, candidates = builders[args.kernel]
-
-    def build(cand):
-        if args.kernel == "kernel5":
-            return builder(cfg, "tuned", cand[param])
-        return builder(cfg, "v3", **{param: cand[param]})
-
-    def feasible(cand):
-        try:
-            execute_kernel(spec, build(cand))
-            return True
-        except ValueError:
-            return False
-
-    space = ParamSpace(**{param: candidates}).constrain(feasible)
+    axis = next(a for a in TUNING_AXES if a.kernel == args.kernel)
+    param = axis.param
+    space = ParamSpace(**{param: axis.candidates}).constrain(
+        lambda c: axis.launchable(cfg, spec, c[param])
+    )
 
     def campaign():
         tuner = Autotuner(
-            lambda c: execute_kernel(spec, build(c)).time_s,
+            lambda c: execute_kernel(spec, axis.cost(cfg, c[param])).time_s,
             space, steps_per_period=40, noise_rel=0.02,
         )
         return tuner.tune().best
 
     cache = TuningCache(args.cache)
     best = cache.get_or_tune(spec, cfg, args.kernel, campaign)
-    t = execute_kernel(spec, build(best))
+    t = execute_kernel(spec, axis.cost(cfg, best[param]))
     print(f"{args.kernel} on {spec.name} ({cfg.describe()}):")
     print(f"  best {param} = {best[param]}  ->  {t.gflops:.1f} Gflop/s, "
           f"occupancy {t.occupancy.occupancy:.1%}")

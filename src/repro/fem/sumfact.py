@@ -8,9 +8,11 @@ phi_i'(x_p)`, so the same applications factor into `dim` passes of 1D
 contractions costing O(order^{d+1}) — the matrix-free reorganization of
 the MFEM/Umpire/RAJA follow-on to the paper (PAPERS.md, arxiv
 2112.07075). This module provides that contraction layer
-(`apply_B`/`apply_B_T`/`apply_G`/`apply_G_T`) plus the flop-count model
-that prices the dense-vs-sumfact crossover for the autotuner and the
-hot-path bench.
+(`apply_B`/`apply_B_T`/`apply_G`/`apply_G_T`) for the `cpu-sumfact`
+engine. Fewer flops are not less time here: at 2D Q2 and Q3 the engine
+measures 1.53x and 1.29x slower than the fused dense tables, ties at Q4
+and wins only from Q6 (the measured table is in DESIGN.md section 16),
+so no cost model of it prices the hybrid split.
 
 Index conventions (matching `ReferenceElement` and `tensor_quadrature`):
 dofs and quadrature points are both lexicographic with the *first*
@@ -26,13 +28,7 @@ import numpy as np
 from repro.fem.quadrature import QuadratureRule
 from repro.fem.reference_element import ReferenceElement
 
-__all__ = [
-    "SumFactorizedOperators",
-    "contraction_work",
-    "modeled_work_dense",
-    "modeled_work_sumfact",
-    "sumfact_host_factor",
-]
+__all__ = ["SumFactorizedOperators"]
 
 
 class SumFactorizedOperators:
@@ -133,68 +129,3 @@ class SumFactorizedOperators:
             acc += self._backward(S[:, :, d], self._tables(d)).reshape(nz, self.ndof)
         out[...] = acc
         return out
-
-
-# -- Work model -------------------------------------------------------------
-#
-# Both routes run the same five basis-contraction stages per corner-force
-# evaluation: geometry Jacobian (dim coordinate components x dim derivative
-# directions), reference velocity gradient (same), L2 energy interpolation,
-# force-times-one application, and force-transpose-times-v reduction. The
-# dense route prices each at full-table cost nqp*ndof; the factorized route
-# at the 1D chain cost, plus a per-pass streaming overhead (each 1D pass
-# re-touches an O(q1^dim) intermediate, which the single fused dense einsum
-# never materializes). PASS_STREAM_COST calibrates that overhead; with 2.0
-# the model reproduces the empirically expected picture — fused dense wins
-# at Q2, sum-factorization wins from Q3 on and by ~2x at Q4 (the crossover
-# table lives in DESIGN.md section 16 and BENCH_hotpath.json).
-
-PASS_STREAM_COST = 2.0
-
-
-def contraction_work(n1: int, q1: int, dim: int) -> int:
-    """Multiply-adds for one d-dimensional 1D-contraction chain."""
-    return sum(n1 ** (dim - m + 1) * q1**m for m in range(1, dim + 1))
-
-
-def _cfg_dims(fe_cfg) -> tuple[int, int, int, int]:
-    dim = int(fe_cfg.dim)
-    order = int(fe_cfg.order)
-    nzones = int(fe_cfg.nzones)
-    q1 = int(getattr(fe_cfg, "quad_points_1d", 0) or 2 * order)
-    return dim, order, nzones, q1
-
-
-def modeled_work_dense(fe_cfg) -> float:
-    """Modeled multiply-adds per corner-force eval, dense-table route."""
-    dim, order, nzones, q1 = _cfg_dims(fe_cfg)
-    nqp = q1**dim
-    ndof_h1 = (order + 1) ** dim
-    ndof_l2 = max(order, 1) ** dim
-    per_zone = 3 * nqp * ndof_h1 * dim**2 + 2 * nqp * ndof_l2
-    return float(nzones * per_zone)
-
-
-def modeled_work_sumfact(fe_cfg) -> float:
-    """Modeled multiply-adds per corner-force eval, sum-factorized route."""
-    dim, order, nzones, q1 = _cfg_dims(fe_cfg)
-    nqp = q1**dim
-    a_h1 = contraction_work(order + 1, q1, dim)
-    a_l2 = contraction_work(max(order, 1), q1, dim)
-    flops = 3 * dim**2 * a_h1 + 2 * a_l2
-    passes = 3 * dim**2 * dim + 2 * dim
-    per_zone = flops + PASS_STREAM_COST * passes * nqp
-    return float(nzones * per_zone)
-
-
-def sumfact_host_factor(fe_cfg) -> float:
-    """Host-time multiplier of the sumfact route relative to fused dense.
-
-    > 1 below the crossover order (sumfact loses), < 1 above it. Clamped
-    so a degenerate config cannot blow up the tuner's pricing model.
-    """
-    dense = modeled_work_dense(fe_cfg)
-    sumfact = modeled_work_sumfact(fe_cfg)
-    if dense <= 0:
-        return 1.0
-    return float(min(4.0, max(0.1, sumfact / dense)))

@@ -260,7 +260,7 @@ class LagrangianHydroSolver:
         tuning = getattr(self.backend, "tuning_target", None)
         target = tuning() if tuning is not None else None
         if target is not None:
-            from repro.sched import OnlineScheduler, SchedulerConfig
+            from repro.sched import OnlineScheduler
             from repro.tuning.cache import TuningCache
 
             cache = (
@@ -271,11 +271,9 @@ class LagrangianHydroSolver:
             self.scheduler = OnlineScheduler(
                 target,
                 cache=cache,
-                config=SchedulerConfig(
-                    steps_per_period=config.tune_period_steps,
-                    objective=config.tuning_objective,
-                    strategy=config.tuning_strategy,
-                ),
+                steps_per_period=config.tune_period_steps,
+                objective=config.tuning_objective,
+                strategy=config.tuning_strategy,
                 tracer=self.tracer,
             )
 
@@ -362,7 +360,7 @@ class LagrangianHydroSolver:
             self.integrator.momentum = self.momentum
             self.integrator.assemble_fn = None
         if self.scheduler is not None:
-            self.scheduler.reset()
+            self.scheduler.finalize()
 
     def close(self) -> None:
         """Finalize the in-band scheduler (closing any open tuning-period

@@ -13,8 +13,10 @@ plus the PCG (kernel 9) and energy SpMV (kernel 11) mixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.gpu.execution import KernelCost
+from repro.gpu.execution import KernelCost, execute_kernel
+from repro.gpu.specs import GPUSpec
 from repro.kernels.base import KERNEL_TABLE, KernelSpec
 from repro.kernels.base_quadloop import base_quadloop_cost
 from repro.kernels.config import FEConfig
@@ -31,6 +33,8 @@ __all__ = [
     "get_kernel",
     "kernel_span_labels",
     "KernelSelection",
+    "TuningAxis",
+    "TUNING_AXES",
     "corner_force_costs",
     "full_step_costs",
 ]
@@ -64,18 +68,71 @@ class KernelSelection:
         campaigns and the scheduler's `TuningCache` entries use.
         """
 
-        def param(kernel: str, name: str) -> int | None:
-            entry = winners.get(kernel)
+        def param(axis: "TuningAxis") -> int | None:
+            entry = winners.get(axis.kernel)
             if not isinstance(entry, dict):
                 return None
-            value = entry.get(name)
+            value = entry.get(axis.param)
             return int(value) if value is not None else None
 
-        return cls(
-            gemm_matrices_per_block=param("kernel3", "matrices_per_block"),
-            batched_matrices_per_block=param("kernel5", "matrices_per_block"),
-            block_cols=param("kernel7", "block_cols"),
-        )
+        return cls(**{axis.selection_field: param(axis) for axis in TUNING_AXES})
+
+    @classmethod
+    def from_candidate(cls, candidate: dict) -> "KernelSelection":
+        """Build a selection from one point of the joint tuning space
+        (keyed by `TuningAxis.name`; a missing axis keeps its default)."""
+        return cls(**{
+            axis.selection_field: candidate.get(axis.name) for axis in TUNING_AXES
+        })
+
+
+@dataclass(frozen=True)
+class TuningAxis:
+    """One Section 3.2.1 tuning axis: a kernel's launch parameter.
+
+    `candidates` are the values a campaign sweeps, `selection_field`
+    the `KernelSelection` field its winner fills, and `cost(cfg, value)`
+    the kernel's cost descriptor when launched at that value.
+    """
+
+    kernel: str
+    param: str
+    candidates: tuple[int, ...]
+    selection_field: str
+    cost: Callable[[FEConfig, int], KernelCost]
+
+    @property
+    def name(self) -> str:
+        """This axis' key in the joint tuning space."""
+        return f"{self.kernel}_{self.param}"
+
+    def launchable(self, cfg: FEConfig, gpu_spec: GPUSpec, value: int) -> bool:
+        """Whether `gpu_spec` can launch the kernel at `value` (the
+        paper's "artificial values, like those exceeding the shared
+        memory, will be eliminated")."""
+        try:
+            execute_kernel(gpu_spec, self.cost(cfg, value))
+        except ValueError:
+            return False
+        return True
+
+
+#: The three tuning axes, declared once: matrices per thread block of
+#: the custom GEMM (kernels 3/4) and of the batched dgemm (kernels 5/6),
+#: and kernel 7's column tile — one per `KernelSelection` field. The
+#: offline `repro tune kernelN` sweeps and the joint space of
+#: `repro.sched.hybrid_param_space` both read them.
+TUNING_AXES = (
+    TuningAxis("kernel3", "matrices_per_block", (1, 2, 4, 8, 16, 32, 64, 128),
+               "gemm_matrices_per_block",
+               lambda cfg, v: kernel3_cost(cfg, "v3", matrices_per_block=v)),
+    TuningAxis("kernel5", "matrices_per_block", (1, 2, 4, 8, 16, 32, 64),
+               "batched_matrices_per_block",
+               lambda cfg, v: kernel5_cost(cfg, "tuned", v)),
+    TuningAxis("kernel7", "block_cols", (1, 2, 4, 8, 16, 32, 64),
+               "block_cols",
+               lambda cfg, v: kernel7_cost(cfg, "v3", block_cols=v)),
+)
 
 
 def all_kernels() -> tuple[KernelSpec, ...]:

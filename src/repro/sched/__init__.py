@@ -6,19 +6,13 @@ autotuner and Section 3.3 load balancer *during* `repro.api.run` steps
 """
 
 from repro.sched.online import (
-    Campaign,
     OnlineScheduler,
-    SchedulerConfig,
     SchedulerReport,
     hybrid_param_space,
-    kernel_campaigns,
 )
 
 __all__ = [
-    "Campaign",
     "OnlineScheduler",
-    "SchedulerConfig",
     "SchedulerReport",
     "hybrid_param_space",
-    "kernel_campaigns",
 ]

@@ -7,9 +7,11 @@ The fleet's durability story, in the same hardening idiom as
   carries a monotonically increasing `seq` and a SHA-256 over its own
   canonical JSON, and every append is flushed (+ fsynced by default)
   before the action it describes proceeds. A crash can tear at most
-  the final line, and a torn or bit-flipped line is *detected* on
-  replay — skipped with a warning in lenient mode, raised as the typed
-  `JournalCorruptionError` in strict mode — never silently trusted.
+  the final line, and a torn, bit-flipped or undecodable line is
+  *detected* on replay — skipped with a warning in lenient mode, raised
+  as the typed `JournalCorruptionError` in strict mode — never silently
+  trusted. Reopening a journal whose last line is torn ends that line
+  first, so the next record starts a line of its own.
 * `recover` — folds a replayed journal into the fleet's restart state:
   jobs with a `submit` record and no terminal record are pending again
   (a job that was mid-run when the process died re-runs — it never
@@ -78,6 +80,27 @@ class JobJournal:
             records = self.replay()
             if records:
                 self._seq = max(r["seq"] for r in records) + 1
+            self._end_torn_line()
+
+    def _end_torn_line(self) -> None:
+        """Terminate a last line a crash tore, once per open: appended
+        to the fragment, the next record would share its corrupt line."""
+        with open(self.path, "rb") as fh:
+            if fh.seek(0, os.SEEK_END) == 0:
+                return
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) == b"\n":
+                return
+        self._write(b"\n")
+
+    def _write(self, data: bytes) -> None:
+        """Append `data`, flushed (and fsynced when `sync`)."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "ab") as fh:
+            fh.write(data)
+            fh.flush()
+            if self.sync:
+                os.fsync(fh.fileno())
 
     def append(self, rtype: str, **payload) -> int:
         """Durably append one record; returns its sequence number.
@@ -93,25 +116,22 @@ class JobJournal:
             record = {"seq": self._seq, "type": rtype, **payload}
             record[_HASH_KEY] = _record_digest(record)
             line = json.dumps(record, sort_keys=True, default=repr)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                if self.sync:
-                    os.fsync(fh.fileno())
+            self._write(line.encode() + b"\n")
             self._seq += 1
             return record["seq"]
 
     def replay(self) -> list[dict]:
         """Parse + verify every record; see module docstring for the
-        lenient (skip + warn) vs strict (raise) corruption contract."""
+        lenient (skip + warn) vs strict (raise) corruption contract.
+
+        Lines are split and parsed as bytes, so a byte that is not
+        UTF-8 corrupts only its own line (its decode error is a
+        ValueError like any other parse failure)."""
         if not self.path.exists():
             return []
         records: list[dict] = []
         bad = 0
-        for lineno, line in enumerate(
-            self.path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        for lineno, line in enumerate(self.path.read_bytes().split(b"\n"), start=1):
             if not line.strip():
                 continue
             try:
@@ -121,7 +141,7 @@ class JobJournal:
                 stored = record.get(_HASH_KEY)
                 if stored != _record_digest(record):
                     raise ValueError("record failed its SHA-256 check")
-            except (json.JSONDecodeError, ValueError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:
                 if self.strict:
                     raise JournalCorruptionError(
                         f"journal {self.path} line {lineno} is corrupt: {exc}"

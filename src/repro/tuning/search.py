@@ -5,8 +5,9 @@ sampling period and can only minimize time. This module generalizes it
 behind one declarative API in the kernel_tuner idiom:
 
 * the configuration space is a `ParamSpace` (named ranges +
-  restrictions, declared once — see `repro.sched.hybrid_param_space`
-  for the joint kernel/runtime space);
+  restrictions — see `repro.sched.hybrid_param_space` for the space of
+  the three kernel tilings declared once in
+  `repro.kernels.registry.TUNING_AXES`);
 * a pluggable `SearchStrategy` decides which candidate to price next
   and when the campaign has converged (`exhaustive`, seeded `random`
   subsampling, greedy `local` coordinate descent);

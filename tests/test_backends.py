@@ -40,7 +40,7 @@ from repro.resilience import (
     ResilientDriver,
 )
 from repro.runtime.hybrid import HybridExecutor
-from repro.sched import OnlineScheduler, SchedulerConfig, kernel_campaigns
+from repro.sched import OnlineScheduler, hybrid_param_space
 from repro.tuning import TuningCache, TuningCacheCorruptionError
 from repro.tuning.balance import AutoBalancer
 
@@ -276,23 +276,66 @@ class TestInBandScheduler:
             OnlineScheduler(HybridBackend())
 
     def test_campaigns_are_feasibility_filtered(self):
-        cfg = FEConfig(dim=2, order=4, nzones=16)
-        campaigns = kernel_campaigns(cfg, get_gpu("K20"))
-        assert [c.kernel for c in campaigns] == ["kernel3", "kernel5", "kernel7"]
-        for camp in campaigns:
-            assert camp.candidates
-            for v in camp.candidates:
-                assert camp.time_fn(v) > 0.0
+        """Every point of the tuning space launches on the device, and
+        the restrictions did drop some (Q4 tilings over K20's budget)."""
+        from repro.gpu import execute_kernel
+        from repro.kernels.registry import TUNING_AXES
 
-    def test_scheduler_config_validation(self):
-        with pytest.raises(ValueError):
-            SchedulerConfig(steps_per_period=0)
-        with pytest.raises(ValueError):
-            SchedulerConfig(initial_ratio=1.5)
-        with pytest.raises(ValueError):
-            SchedulerConfig(objective="watts")
-        with pytest.raises(ValueError):
-            SchedulerConfig(strategy="annealing")
+        cfg, spec = FEConfig(dim=2, order=4, nzones=16), get_gpu("K20")
+        space = hybrid_param_space(cfg, spec)
+        assert space.candidates()
+        assert space.eliminated_count() > 0
+        for cand in space.candidates():
+            for axis in TUNING_AXES:
+                cost = axis.cost(cfg, cand[axis.name])
+                assert execute_kernel(spec, cost).time_s > 0.0
+
+    def test_scheduler_rejects_bad_arguments_before_any_period(self):
+        b = HybridBackend.for_pricing(FEConfig(dim=2, order=2, nzones=16))
+        with pytest.raises(ValueError, match="steps_per_period"):
+            OnlineScheduler(b, steps_per_period=0)
+        with pytest.raises(ValueError, match="objective"):
+            OnlineScheduler(b, objective="watts")
+        with pytest.raises(ValueError, match="strategy"):
+            OnlineScheduler(b, strategy="annealing")
+
+    def test_host_priced_by_the_executing_model(self):
+        """The host side of the split is the fused engine's corner force
+        on the host cores — the model `cpu_only()` uses — before and
+        after a full Q3 campaign: no candidate re-prices it."""
+        cfg = FEConfig(dim=2, order=3, nzones=16)
+        host_s = HybridExecutor(
+            cfg, get_cpu("E5-2670"), get_gpu("K20"), nmpi=1
+        )._cpu_corner_force_s()
+        harness = HybridBackend.for_pricing(cfg)
+        assert harness.cpu_time_s(1.0) == host_s
+        sched = OnlineScheduler(harness, steps_per_period=1)
+        for _ in range(200):
+            sched.on_step()
+        assert sched.report.converged and sched.report.periods_tune > 0
+        assert harness.cpu_time_s(1.0) == host_s
+
+    def test_old_cache_runtime_entry_warm_starts_unread(self, tmp_path):
+        """A cache that also holds the retired (fusion, chunk) runtime
+        pair still warm-starts from its kernel winners and balance entry;
+        the pair is never applied, so the host keeps the fused price."""
+        cfg, spec = FEConfig(dim=2, order=3, nzones=16), get_gpu("K20")
+        cache = TuningCache(tmp_path / "tuning.json")
+        for kernel, params in {
+            "kernel3": {"matrices_per_block": 32},
+            "kernel5": {"matrices_per_block": 32},
+            "kernel7": {"block_cols": 1},
+            "balance": {"ratio": 0.3563},
+            "runtime": {"fusion": "sumfact", "chunk": 4},
+        }.items():
+            cache.store(spec, cfg, kernel, params, backend="hybrid")
+        harness = HybridBackend.for_pricing(cfg)
+        host_s = harness.cpu_time_s(1.0)
+        report = OnlineScheduler(harness, cache=cache).report
+        assert report.warm_started and report.ratio == 0.3563
+        assert harness.selection.block_cols == 1
+        assert harness.cpu_time_s(1.0) == host_s
+        assert "runtime" not in harness.describe()
 
     def test_smoke_objective_isolation_in_band(self, tmp_path):
         """Regression: a cache populated under the default time

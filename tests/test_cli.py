@@ -124,7 +124,7 @@ class TestInfoModelTune:
         assert len(store) == 1
         assert main(["tune", "kernel5", "--zones", "8", "--cache", cache]) == 0
 
-    def test_tune_campaign_prints_objective_per_winner(self, capsys, tmp_path):
+    def test_smoke_tune_campaign_prints_objective_per_winner(self, capsys, tmp_path):
         """Satellite: every winner row names the objective it was
         scored under, and the report logs the evaluation budget."""
         rc = main(["tune", "campaign", "--dim", "2", "--orders", "2",
@@ -137,8 +137,10 @@ class TestInfoModelTune:
         assert "winner scored under objective 'time'" in out
         assert "winner scored under objective 'energy'" in out
         assert "feasible points" in out
+        # The table prices only what runs: the three kernel tilings.
+        assert "k7 cols" in out and "runtime" not in out
 
-    def test_tune_campaign_warm_starts_matching_objective_only(
+    def test_smoke_tune_campaign_warm_starts_matching_objective_only(
             self, tmp_path, capsys):
         """A campaign cache warm-starts `repro run` for its own
         objective; a different objective re-tunes in band."""
@@ -244,6 +246,21 @@ class TestServeSubmit:
         assert rc == 3
         err = capsys.readouterr().err
         assert "re-run without --strict-journal" in err
+        assert "Traceback" not in err
+
+    def test_serve_non_utf8_journal_strict_exits_3(self, tmp_path, capsys):
+        journal = tmp_path / "journal.jsonl"
+        main(["submit", "sedov", "--journal", str(journal),
+              "--zones", "3", "--t-final", "0.02", "--job-id", "j1"])
+        capsys.readouterr()
+        with journal.open("ab") as fh:
+            fh.write(b'{"job_id": "\xff"}\n')
+        rc = main(["serve", "--journal", str(journal), "--workers", "0",
+                   "--strict-journal"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "line 2 is corrupt" in err
         assert "Traceback" not in err
 
     def test_serve_corrupt_journal_lenient_runs(self, tmp_path, capsys):

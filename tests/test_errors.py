@@ -55,6 +55,8 @@ class TestHierarchy:
             RunConfig(tuning_objective="bogus")
         with pytest.raises(ConfigError, match="unknown tuning_strategy"):
             RunConfig(tuning_strategy="bogus")
+        with pytest.raises(ConfigError, match="tune_period_steps"):
+            RunConfig(tune_period_steps=0)
         with pytest.raises(ConfigError):
             RunConfig(backend="nonsense")
 
@@ -158,3 +160,31 @@ class TestRunConfigProperty:
             return
         assert report.steps >= 1
         assert cfg.workers == 0 and cfg.resolved_backend in BACKEND_NAMES
+
+
+class TestHypothesisReports:
+    def test_failing_property_prints_its_falsifying_example(self, tmp_path):
+        """Under the repository's warning filters a failing `@given`
+        test reports its falsifying example, not a pytest INTERNALERROR
+        (hypothesis's report path imports libcst, which warns)."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        (tmp_path / "test_fails.py").write_text(
+            "from hypothesis import given, settings, strategies as st\n"
+            "@settings(derandomize=True, database=None)\n"
+            "@given(st.integers())\n"
+            "def test_fails(n):\n"
+            "    assert n < 10\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-c", str(ini), "--rootdir", str(tmp_path), "test_fails.py"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        out = proc.stdout + proc.stderr
+        assert proc.returncode == 1, out
+        assert "Falsifying example" in out
+        assert "INTERNALERROR" not in out

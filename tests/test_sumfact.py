@@ -2,8 +2,8 @@
 
 The `-k smoke` subset (CI's sumfact lane) is the fast end-to-end slice:
 engine parity vs the fused dense tables, full-problem-registry parity
-through `repro.api.run`, the modeled-work crossover, the tuner's fusion
-axis, and the typed --order validation. The remaining tests pin down
+through `repro.api.run`, and the typed --order validation. The
+remaining tests pin down
 the 1D contraction layer operator-by-operator against the dense
 reference tables across dimensions and orders.
 """
@@ -19,12 +19,7 @@ from repro.fem.mesh import cartesian_mesh_2d
 from repro.fem.quadrature import tensor_quadrature
 from repro.fem.reference_element import ReferenceElement
 from repro.fem.spaces import H1Space, L2Space
-from repro.fem.sumfact import (
-    SumFactorizedOperators,
-    modeled_work_dense,
-    modeled_work_sumfact,
-    sumfact_host_factor,
-)
+from repro.fem.sumfact import SumFactorizedOperators
 from repro.hydro.corner_force import ForceEngine, SumfactForceEngine, SumfactStress
 from repro.hydro.eos import GammaLawEOS
 from repro.hydro.state import HydroState
@@ -39,17 +34,6 @@ def _ops(dim: int, order: int):
     element = ReferenceElement(dim, order)
     quad = tensor_quadrature(dim, 2 * max(order, 1))
     return element, quad, SumFactorizedOperators(element, quad)
-
-
-class _ModelCfg:
-    """Duck-typed FE config for the work model."""
-
-    def __init__(self, dim, order, nzones, quad_points_1d=None):
-        self.dim = dim
-        self.order = order
-        self.nzones = nzones
-        if quad_points_1d is not None:
-            self.quad_points_1d = quad_points_1d
 
 
 class TestContractionLayer:
@@ -216,72 +200,6 @@ class TestProblemRegistryParity:
         assert arena["high_water_bytes"] > 0
         assert arena["live_leases"] > 0
         assert arena["block_allocations"] >= arena["live_leases"]
-
-
-class TestWorkModel:
-    def test_smoke_crossover_is_q3_in_2d(self):
-        ratios = {
-            o: modeled_work_sumfact(_ModelCfg(2, o, 256))
-            / modeled_work_dense(_ModelCfg(2, o, 256))
-            for o in (1, 2, 3, 4, 6, 8)
-        }
-        assert ratios[1] > 1.0 and ratios[2] > 1.0  # dense wins at low order
-        assert ratios[3] < 1.0                      # crossover at Q3
-        assert ratios[4] < 0.51                     # ~2x modeled win at Q4
-        assert ratios[8] < ratios[6] < ratios[4]    # monotone improvement
-
-    def test_3d_crossover_is_earlier(self):
-        r2 = sumfact_host_factor(_ModelCfg(3, 2, 64))
-        assert r2 < 1.0  # 3D already wins at Q2
-
-    def test_host_factor_is_clamped(self):
-        assert 0.1 <= sumfact_host_factor(_ModelCfg(2, 1, 4)) <= 4.0
-        assert sumfact_host_factor(_ModelCfg(3, 8, 512)) >= 0.1
-
-
-class TestTunerAxis:
-    def test_smoke_fusion_axis_includes_sumfact(self):
-        from repro.gpu import get_gpu
-        from repro.kernels import FEConfig
-        from repro.sched.online import hybrid_param_space
-
-        space = hybrid_param_space(FEConfig(dim=2, order=4, nzones=64), get_gpu("K20"))
-        fusions = {c["fusion"] for c in space.candidates()}
-        assert fusions == {"fused", "sumfact", "legacy"}
-        # Sumfact chunks zones like the fused path; legacy never does.
-        assert any(c["fusion"] == "sumfact" and c["chunk"] > 1
-                   for c in space.candidates())
-        assert not any(c["fusion"] == "legacy" and c["chunk"] > 1
-                       for c in space.candidates())
-
-    def test_smoke_runtime_factor_prices_the_crossover(self):
-        from repro.backends.hybrid import HybridBackend
-        from repro.kernels import FEConfig
-
-        low = HybridBackend.for_pricing(FEConfig(dim=2, order=1, nzones=64))
-        high = HybridBackend.for_pricing(FEConfig(dim=2, order=4, nzones=64))
-        # Below the crossover sumfact is priced slower than fused...
-        assert low._runtime_factor("sumfact", 1) > low._runtime_factor("fused", 1)
-        # ...above it, faster — so the tuner can pick it per order.
-        assert high._runtime_factor("sumfact", 1) < high._runtime_factor("fused", 1)
-        high.apply_runtime("sumfact", 2)
-        assert high.fusion == "sumfact" and high.chunk == 2
-        with pytest.raises(ValueError):
-            high.apply_runtime("vectorized", 1)
-
-    def test_tuner_picks_sumfact_at_high_order(self):
-        from repro.backends.hybrid import HybridBackend
-        from repro.gpu import get_gpu
-        from repro.kernels import FEConfig
-        from repro.sched.online import hybrid_param_space
-        from repro.tuning import run_search
-
-        cfg = FEConfig(dim=2, order=4, nzones=64)
-        harness = HybridBackend.for_pricing(cfg)
-        result = run_search(hybrid_param_space(cfg, get_gpu("K20")),
-                            harness.measure_candidate,
-                            objective="time", strategy="exhaustive")
-        assert result.best["fusion"] == "sumfact"
 
 
 class TestOrderValidation:

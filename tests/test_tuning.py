@@ -373,9 +373,12 @@ class TestObjectiveDivergence:
 
 
 class TestJointSpaceAcceptance:
-    """Acceptance: cheap strategies find the exhaustive winner on the
-    paper's joint kernel/runtime space within half the evaluation
-    budget."""
+    """Acceptance: cheap strategies find the exhaustive optimum of the
+    paper's kernel-tiling space within half the evaluation budget.
+
+    The optimum is a tie set (tilings the roofline prices equally), so
+    a walk may end on any member of it: the checks are the score and
+    membership, not one particular dict."""
 
     spec = get_gpu("K20")
     cfg = FEConfig(dim=2, order=2, nzones=256)
@@ -386,23 +389,42 @@ class TestJointSpaceAcceptance:
                           harness.measure_candidate,
                           objective=objective, strategy=strategy, seed=seed)
 
+    def _optimal_set(self, objective):
+        """Every feasible point scoring the optimum, priced one by one."""
+        harness = HybridBackend.for_pricing(self.cfg, device="K20")
+        score = get_objective(objective).score
+        scored = [(score(harness.measure_candidate(c)), c)
+                  for c in hybrid_param_space(self.cfg, self.spec).candidates()]
+        best = min(s for s, _ in scored)
+        return [c for s, c in scored if s == best]
+
+    def test_smoke_space_holds_exactly_the_three_kernel_axes(self):
+        space = hybrid_param_space(self.cfg, self.spec)
+        assert list(space.ranges) == [
+            "kernel3_matrices_per_block",
+            "kernel5_matrices_per_block",
+            "kernel7_block_cols",
+        ]
+        # 8 x 7 x 7 tilings, every one launchable at Q2 on a K20.
+        assert space.raw_size == len(space.candidates()) == 392
+
     def test_smoke_local_finds_exhaustive_winner_for_every_objective(self):
         for objective in ("time", "energy", "edp"):
             exhaustive = self._search(objective, "exhaustive")
             local = self._search(objective, "local", seed=1)
-            assert local.best == exhaustive.best, objective
+            optimal = self._optimal_set(objective)
+            assert exhaustive.best in optimal, objective
+            assert local.best in optimal, objective
             assert local.score == pytest.approx(exhaustive.score)
             assert local.evaluated_fraction <= 0.5
             assert exhaustive.evaluations == exhaustive.feasible_points
 
     def test_random_matches_exhaustive_optimum_within_half_budget(self):
         """The seeded half-budget subsample attains the exhaustive
-        optimum score (the joint space has exact ties at the optimum,
-        so the winning dict may be a tied equal — the score may not)."""
+        optimum score, on a member of the optimal tie set."""
         for objective in ("time", "energy", "edp"):
             exhaustive = self._search(objective, "exhaustive")
             random = self._search(objective, "random", seed=18)
             assert random.score == pytest.approx(exhaustive.score, rel=1e-12)
             assert random.evaluated_fraction <= 0.5
-        assert self._search("time", "random", seed=18).best == \
-            self._search("time", "exhaustive").best
+            assert random.best in self._optimal_set(objective)
