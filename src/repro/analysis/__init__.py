@@ -1,10 +1,14 @@
-"""Analysis and reporting helpers for the benchmark harness."""
+"""Analysis and reporting helpers for the benchmark harness.
+
+`profiles` models the paper's Table 1 CPU profile and Fig 6 kernel
+breakdown, `report` prints paper-vs-measured tables, `scaling_bench` and
+`record` run and record the scaling gate, `riemann` is the exact Sod
+solution and `convergence` the solver's p-convergence check.
+"""
 
 from repro.analysis.profiles import cpu_profile, kernel_breakdown
 from repro.analysis.report import Table, Series, paper_vs_measured
 from repro.analysis.convergence import convergence_study, observed_rate
-from repro.analysis.roofline import roofline_point, roofline_report, ridge_intensity
-from repro.analysis.exascale import project_system, gflops_per_watt_needed
 
 __all__ = [
     "cpu_profile",
@@ -14,9 +18,4 @@ __all__ = [
     "paper_vs_measured",
     "convergence_study",
     "observed_rate",
-    "roofline_point",
-    "roofline_report",
-    "ridge_intensity",
-    "project_system",
-    "gflops_per_watt_needed",
 ]

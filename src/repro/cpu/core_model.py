@@ -91,11 +91,6 @@ class CPUExecutionModel:
         per_iter = spmv.seconds + blas1_bytes / bw
         return PhaseTime(iterations * per_iter, spmv.bound, self._core_fraction())
 
-    def generic_time(self, flops: float, efficiency: float = 0.08) -> PhaseTime:
-        """Other phases (time integration, assembly translation)."""
-        peak = self.spec.peak_dp_gflops * 1e9 * self._core_fraction()
-        return PhaseTime(flops / (peak * efficiency), "compute", self._core_fraction())
-
     # -- Power ------------------------------------------------------------------
 
     def package_power(self, utilization: float | None = None) -> float:

@@ -2,9 +2,11 @@
 
 Implements the discretization machinery BLAST builds on: 1D polynomial
 bases and quadrature, tensor-product reference elements (the Qk family),
-curvilinear quad/hex meshes, continuous (H1, kinematic) and discontinuous
-(L2, thermodynamic) finite element spaces, batched geometry evaluation
-(Jacobians and friends at quadrature points) and mass-matrix assembly.
+quad/hex meshes (`curvilinear` maps curve them), continuous (H1,
+kinematic) and discontinuous (L2, thermodynamic) finite element spaces,
+batched geometry evaluation (Jacobians and friends at quadrature points),
+mass-matrix assembly and its partial-assembly action, sum-factorized
+basis operators, and the RCB zone partitioner of the distributed backend.
 """
 
 from repro.fem.polynomials import (
@@ -22,8 +24,7 @@ from repro.fem.assembly import (
     assemble_kinematic_mass,
     assemble_thermodynamic_mass,
 )
-from repro.fem.partition import partition_cartesian, partition_rcb
-from repro.fem.refinement import refine_uniform
+from repro.fem.partition import partition_rcb
 from repro.fem import curvilinear
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "GeometryEvaluator",
     "assemble_kinematic_mass",
     "assemble_thermodynamic_mass",
-    "partition_cartesian",
     "partition_rcb",
-    "refine_uniform",
     "curvilinear",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "zone_mass_blocks_sumfact",
     "assemble_kinematic_mass",
     "assemble_thermodynamic_mass",
-    "lump_mass",
 ]
 
 
@@ -190,8 +189,3 @@ def assemble_thermodynamic_mass(
     m = BlockDiagonalMatrix(blocks)
     m.precompute_inverse()
     return m
-
-
-def lump_mass(matrix: CSRMatrix) -> np.ndarray:
-    """Row-sum lumping (used for viscosity length scales / diagnostics)."""
-    return matrix.matvec(np.ones(matrix.ncols))

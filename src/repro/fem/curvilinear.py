@@ -107,11 +107,7 @@ def annulus_mesh_2d(
         r, theta = verts[:, 0], verts[:, 1]
         return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
-    curved = base.transform(polar)
-    # The polar image is no longer a lexicographic Cartesian grid.
-    curved.grid_shape = None
-    curved.extent = None
-    return curved
+    return base.transform(polar)
 
 
 def apply_to_space(space, fn) -> None:

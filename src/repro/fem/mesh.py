@@ -9,7 +9,7 @@ for the lifetime of a Lagrangian run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,15 +30,11 @@ class Mesh:
         with the x index fastest: 2D (v00, v10, v01, v11); 3D appends the
         z layers (v000, v100, v010, v110, v001, ...).
     zone_attributes : (nzones,) integer material/region tags.
-    grid_shape : for generator meshes, the (nx[, ny[, nz]]) zone counts;
-        None for genuinely unstructured input.
     """
 
     verts: np.ndarray
     zones: np.ndarray
     zone_attributes: np.ndarray = None
-    grid_shape: tuple[int, ...] | None = None
-    extent: tuple[tuple[float, float], ...] | None = field(default=None)
 
     def __post_init__(self):
         self.verts = np.asarray(self.verts, dtype=np.float64)
@@ -100,18 +96,7 @@ class Mesh:
         new_verts = np.asarray(fn(self.verts.copy()), dtype=np.float64)
         if new_verts.shape != self.verts.shape:
             raise ValueError("transform must preserve vertex array shape")
-        return Mesh(new_verts, self.zones.copy(), self.zone_attributes.copy(), self.grid_shape, self.extent)
-
-    def boundary_vertices(self, tol_scale: float = 1e-9) -> np.ndarray:
-        """Vertex ids on the bounding box faces (generator meshes only)."""
-        lo = self.verts.min(axis=0)
-        hi = self.verts.max(axis=0)
-        tol = tol_scale * max(np.max(hi - lo), 1.0)
-        on = np.zeros(self.nverts, dtype=bool)
-        for d in range(self.dim):
-            on |= np.abs(self.verts[:, d] - lo[d]) < tol
-            on |= np.abs(self.verts[:, d] - hi[d]) < tol
-        return np.flatnonzero(on)
+        return Mesh(new_verts, self.zones.copy(), self.zone_attributes.copy())
 
 
 def _structured_zones(dims: tuple[int, ...]) -> np.ndarray:
@@ -152,7 +137,7 @@ def cartesian_mesh_2d(
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([X.T.ravel(), Y.T.ravel()])
     zones = _structured_zones((nx, ny))
-    return Mesh(verts, zones, grid_shape=(nx, ny), extent=extent)
+    return Mesh(verts, zones)
 
 
 def cartesian_mesh_3d(
@@ -174,4 +159,4 @@ def cartesian_mesh_3d(
     t = (2, 1, 0)
     verts = np.column_stack([X.transpose(t).ravel(), Y.transpose(t).ravel(), Z.transpose(t).ravel()])
     zones = _structured_zones((nx, ny, nz))
-    return Mesh(verts, zones, grid_shape=(nx, ny, nz), extent=extent)
+    return Mesh(verts, zones)

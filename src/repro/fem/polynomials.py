@@ -15,7 +15,6 @@ __all__ = [
     "legendre_deriv",
     "gauss_legendre",
     "gauss_lobatto_points",
-    "equispaced_points",
     "LagrangeBasis1D",
 ]
 
@@ -109,13 +108,6 @@ def gauss_lobatto_points(npts: int) -> np.ndarray:
             break
     pts = np.concatenate(([-1.0], x, [1.0]))
     return 0.5 * (pts + 1.0)
-
-
-def equispaced_points(npts: int) -> np.ndarray:
-    """Equispaced nodes on [0, 1] (used for low-order geometry nodes)."""
-    if npts == 1:
-        return np.array([0.5])
-    return np.linspace(0.0, 1.0, npts)
 
 
 class LagrangeBasis1D:

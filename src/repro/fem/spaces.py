@@ -193,11 +193,6 @@ class L2Space:
             raise ValueError("zvals must be (nzones, ndof_per_zone, ...)")
         return zvals.reshape((self.ndof,) + zvals.shape[2:])
 
-    def interpolate(self, fn, node_coords_per_zone: np.ndarray) -> np.ndarray:
-        """Nodal interpolation of fn(x) given (nz, ndz, dim) node coords."""
-        vals = fn(node_coords_per_zone.reshape(-1, self.mesh.dim))
-        return np.asarray(vals, dtype=np.float64).reshape(self.ndof)
-
     def sumfact_operators(self, quad):
         """Factorized basis applications for this space at a tensor rule."""
         from repro.fem.sumfact import SumFactorizedOperators

@@ -12,20 +12,23 @@ substitution described in DESIGN.md: an analytic device model with
 * a roofline execution-time model over the three-level memory hierarchy
   the paper profiles (L1/shared, L2, device memory — Figure 8),
 * a component-based power model (device-memory traffic is the dominant
-  dynamic term, after Hong & Kim), exposed through an NVML-like API,
-* Hyper-Q work queues and a PCI-E transfer model.
+  dynamic term, after Hong & Kim) that prices each phase's board power,
+  the reading the paper takes from NVML,
+* a simulated device that runs kernel phases on a clock, with Hyper-Q
+  work queues, stream overlap and a PCI-E transfer model.
+
+The millisecond RAPL/NVML poller of a live run is
+`repro.telemetry.CounterSampler`.
 """
 
 from repro.gpu.specs import GPUSpec, GPU_CATALOG, get_gpu
 from repro.gpu.occupancy import OccupancyResult, occupancy
 from repro.gpu.memory import MemoryHierarchy
 from repro.gpu.execution import KernelCost, KernelTiming, execute_kernel
-from repro.gpu.power import GPUPowerModel, PowerSample
-from repro.gpu.nvml import NVMLInterface
+from repro.gpu.power import GPUPowerModel
 from repro.gpu.pcie import PCIeModel
 from repro.gpu.device import SimulatedGPU, KernelLaunchRecord
 from repro.gpu.streams import StreamedPhase, overlap_phase
-from repro.gpu.multigpu import MultiGPUPhase, run_multi_gpu_phase, balanced_shares
 
 __all__ = [
     "GPUSpec",
@@ -38,14 +41,9 @@ __all__ = [
     "KernelTiming",
     "execute_kernel",
     "GPUPowerModel",
-    "PowerSample",
-    "NVMLInterface",
     "PCIeModel",
     "SimulatedGPU",
     "KernelLaunchRecord",
     "StreamedPhase",
     "overlap_phase",
-    "MultiGPUPhase",
-    "run_multi_gpu_phase",
-    "balanced_shares",
 ]

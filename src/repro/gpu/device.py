@@ -1,12 +1,13 @@
-"""The simulated GPU device: launch queues, timeline, power accounting.
+"""The simulated GPU device: launch queues, clock, power accounting.
 
-`SimulatedGPU` is the object the hybrid runtime talks to. It accepts
-kernel launches (as `KernelCost` descriptors), executes them through the
-roofline model, advances a simulated clock, and keeps an NVML-visible
-power timeline. Hyper-Q semantics follow the paper's Section 4.2: Kepler
-exposes 32 hardware work queues so multiple MPI clients can share the
-device concurrently; on Fermi-class parts (one queue) multiple clients
-serialize and pay a synchronization penalty per kernel.
+`SimulatedGPU` is the object the hybrid runtime talks to. It runs phases
+of kernels (as `KernelCost` descriptors) through the roofline model,
+advances a simulated clock, and prices each phase's board power with
+`GPUPowerModel` (the reading NVML would report). Hyper-Q semantics follow
+the paper's Section 4.2: Kepler exposes 32 hardware work queues so
+multiple MPI clients can share the device concurrently; on Fermi-class
+parts (one queue) multiple clients serialize and pay a synchronization
+penalty per kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.gpu.execution import KernelCost, KernelTiming, execute_kernel
-from repro.gpu.nvml import NVMLInterface
 from repro.gpu.power import GPUPowerModel
 from repro.gpu.specs import GPUSpec
 
@@ -29,14 +29,9 @@ _QUEUE_CONTENTION_OVERHEAD_S = 20e-6
 class KernelLaunchRecord:
     """One completed (simulated) kernel launch."""
 
-    client: int
     start_s: float
     end_s: float
     timing: KernelTiming
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
 
 
 @dataclass
@@ -48,40 +43,19 @@ class PhaseReport:
     energy_j: float
     timings: list[KernelTiming] = field(default_factory=list)
 
-    def kernel_time(self, name_prefix: str) -> float:
-        return sum(t.time_s for t in self.timings if t.cost.name.startswith(name_prefix))
-
 
 class SimulatedGPU:
     """A single GPU board with a simulated clock."""
 
-    def __init__(self, spec: GPUSpec, seed: int = 0, fault_injector=None):
+    def __init__(self, spec: GPUSpec, fault_injector=None):
         self.spec = spec
         self.power_model = GPUPowerModel(spec)
-        self.nvml = NVMLInterface(spec, seed=seed)
         self.clock_s = 0.0
         self.launches: list[KernelLaunchRecord] = []
         self.total_energy_j = 0.0
         # Optional repro.resilience.FaultInjector: every kernel routed
         # through this device may then abort with a GPUKernelFault.
         self.fault_injector = fault_injector
-
-    # -- Single launches -------------------------------------------------------
-
-    def launch(self, cost: KernelCost, client: int = 0) -> KernelLaunchRecord:
-        """Execute one kernel; advances the device clock."""
-        timing = execute_kernel(self.spec, cost, fault_injector=self.fault_injector)
-        start = self.clock_s
-        end = start + timing.time_s
-        rec = KernelLaunchRecord(client, start, end, timing)
-        self.launches.append(rec)
-        self.clock_s = end
-        power = self.power_model.active_power([timing])
-        self.nvml.register_phase(start, end, power)
-        self.total_energy_j += power * timing.time_s
-        return rec
-
-    # -- Whole phases -----------------------------------------------------------
 
     def run_phase(
         self,
@@ -110,10 +84,9 @@ class SimulatedGPU:
         energy = power * wall
         start = self.clock_s
         self.clock_s += wall
-        self.nvml.register_phase(start, self.clock_s, power)
         self.total_energy_j += energy
         for t in timings:
-            self.launches.append(KernelLaunchRecord(0, start, start + t.time_s, t))
+            self.launches.append(KernelLaunchRecord(start, start + t.time_s, t))
             start += t.time_s
         return PhaseReport(wall, power, energy, timings)
 
@@ -125,10 +98,6 @@ class SimulatedGPU:
         self.clock_s += duration_s
 
     # -- Introspection ------------------------------------------------------------
-
-    @property
-    def busy_time_s(self) -> float:
-        return sum(l.duration_s for l in self.launches)
 
     def kernel_time_breakdown(self) -> dict[str, float]:
         """Total simulated time per kernel name (the paper's Figure 6)."""

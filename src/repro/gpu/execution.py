@@ -95,11 +95,6 @@ class KernelTiming:
     dynamic_energy_j: float = 0.0
     busy: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def dynamic_power_w(self) -> float:
-        """Average dynamic power while this kernel runs."""
-        return self.dynamic_energy_j / self.time_s if self.time_s > 0 else 0.0
-
 
 def execute_kernel(spec: GPUSpec, cost: KernelCost, fault_injector=None) -> KernelTiming:
     """Model one kernel execution: time, achieved rates, dynamic energy.

@@ -66,8 +66,3 @@ class MemoryHierarchy:
             + l2_bytes * self.l2_pj_per_byte
             + shared_bytes * self.shared_pj_per_byte
         )
-
-    @property
-    def energy_ratio_dram_to_shared(self) -> float:
-        """The ~50x on/off-chip energy ratio the redesign exploits."""
-        return self.dram_pj_per_byte / self.shared_pj_per_byte

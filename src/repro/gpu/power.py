@@ -16,16 +16,11 @@ Section 5.2). Power is clamped to the board TDP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.gpu.execution import KernelTiming
 from repro.gpu.specs import GPUSpec
 
 __all__ = [
     "GPUPowerModel",
-    "PowerSample",
     "HYPERQ_OVERHEAD_W_PER_CLIENT",
     "COMPONENT_MAX_W_FRACTION",
 ]
@@ -46,22 +41,11 @@ COMPONENT_MAX_W_FRACTION = {
 }
 
 
-@dataclass(frozen=True)
-class PowerSample:
-    """One NVML-style reading."""
-
-    t_s: float
-    power_w: float
-
-
 class GPUPowerModel:
     """Computes board power for phases of modelled kernel activity."""
 
     def __init__(self, spec: GPUSpec):
         self.spec = spec
-
-    def idle_power(self) -> float:
-        return self.spec.idle_w
 
     def active_power(
         self,
@@ -93,38 +77,3 @@ class GPUPowerModel:
         p_hq = HYPERQ_OVERHEAD_W_PER_CLIENT * (min(concurrent_clients, self.spec.hyperq_queues) - 1)
         p = self.spec.active_base_w + p_dyn + p_hq
         return float(min(p, self.spec.tdp_w))
-
-    def phase_energy_j(
-        self,
-        timings: list[KernelTiming],
-        concurrent_clients: int = 1,
-        duty_cycle: float = 1.0,
-    ) -> float:
-        """Board energy of one activity phase (power x busy time)."""
-        total_time = sum(t.time_s for t in timings) / duty_cycle
-        return self.active_power(timings, concurrent_clients, duty_cycle) * total_time
-
-    def trace(
-        self,
-        phases: list[tuple[float, float]],
-        sample_period_s: float = 1e-3,
-        noise_w: float = 0.0,
-        seed: int = 0,
-    ) -> list[PowerSample]:
-        """Synthesize an NVML-like sampled power trace.
-
-        `phases` is a list of (duration_s, power_w) segments; samples are
-        taken every `sample_period_s` with optional uniform noise
-        (NVML reports +/- 5 W accuracy).
-        """
-        rng = np.random.default_rng(seed)
-        samples: list[PowerSample] = []
-        t = 0.0
-        for duration, power in phases:
-            n = max(1, int(duration / sample_period_s))
-            times = t + sample_period_s * np.arange(n)
-            vals = np.full(n, power) + (rng.uniform(-noise_w, noise_w, n) if noise_w else 0.0)
-            vals = np.clip(vals, 0.0, self.spec.tdp_w)
-            samples.extend(PowerSample(float(ts), float(p)) for ts, p in zip(times, vals))
-            t += duration
-        return samples

@@ -50,11 +50,6 @@ class GPUSpec:
         """DP Gflop/s per TDP watt (the paper's Figure 1 metric)."""
         return self.peak_dp_gflops / self.tdp_w
 
-    @property
-    def doubles_per_second(self) -> float:
-        """Doubles streamable from device memory per second (Gdbl/s)."""
-        return self.mem_bandwidth_gbs / 8.0
-
 
 # On-chip bandwidths follow the usual per-SM aggregate estimates for the
 # generation (shared memory delivers tens of bytes per clock per SM; L2

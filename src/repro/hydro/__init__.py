@@ -12,7 +12,7 @@ artificial viscosity) against the kinematic basis gradients, eq. (4)-(6).
 """
 
 from repro.hydro.state import HydroState
-from repro.hydro.eos import GammaLawEOS, StiffenedGasEOS
+from repro.hydro.eos import GammaLawEOS
 from repro.hydro.viscosity import ViscosityCoefficients, tensor_viscosity
 from repro.hydro.corner_force import ForceEngine, ForceResult
 from repro.hydro.timestep import TimestepController
@@ -23,7 +23,6 @@ from repro.hydro.diagnostics import EnergyBreakdown
 __all__ = [
     "HydroState",
     "GammaLawEOS",
-    "StiffenedGasEOS",
     "ViscosityCoefficients",
     "tensor_viscosity",
     "ForceEngine",

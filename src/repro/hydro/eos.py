@@ -3,8 +3,7 @@
 The paper's test problems (Sedov, triple-point) use ideal-gas gamma-law
 materials, with per-material gamma in the multi-material triple-point
 setup. The EOS is evaluated at every quadrature point every time step —
-part of the per-thread workload of kernel 2. A stiffened-gas EOS is
-included as the standard extension for near-incompressible materials.
+part of the per-thread workload of kernel 2.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GammaLawEOS", "StiffenedGasEOS"]
+__all__ = ["GammaLawEOS"]
 
 
 @dataclass(frozen=True)
@@ -47,35 +46,3 @@ class GammaLawEOS:
         """Invert the EOS: e(rho, p) — used by problem initializers."""
         rho = np.asarray(rho, dtype=np.float64)
         return np.asarray(p, dtype=np.float64) / ((np.asarray(self.gamma) - 1.0) * rho)
-
-
-@dataclass(frozen=True)
-class StiffenedGasEOS:
-    """Stiffened gas: p = (gamma - 1) rho e - gamma p_inf.
-
-    With p_inf = 0 this degenerates to the gamma law; p_inf > 0 models
-    liquids/solids under shock loading (future-work material support).
-    """
-
-    gamma: float = 4.4
-    p_inf: float = 0.0
-
-    def __post_init__(self):
-        if self.gamma <= 1.0:
-            raise ValueError("stiffened gas requires gamma > 1")
-        if self.p_inf < 0.0:
-            raise ValueError("p_inf must be non-negative")
-
-    def pressure(self, rho: np.ndarray, e: np.ndarray) -> np.ndarray:
-        e_pos = np.maximum(np.asarray(e, dtype=np.float64), 0.0)
-        return (self.gamma - 1.0) * np.asarray(rho) * e_pos - self.gamma * self.p_inf
-
-    def sound_speed(self, rho: np.ndarray, e: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=np.float64)
-        p = self.pressure(rho, e)
-        c2 = self.gamma * (p + self.p_inf) / np.maximum(rho, 1e-300)
-        return np.sqrt(np.maximum(c2, 0.0))
-
-    def energy_from_pressure(self, rho: np.ndarray, p: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=np.float64)
-        return (np.asarray(p) + self.gamma * self.p_inf) / ((self.gamma - 1.0) * rho)

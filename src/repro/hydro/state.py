@@ -42,10 +42,6 @@ class HydroState:
     def copy(self) -> "HydroState":
         return HydroState(self.v.copy(), self.e.copy(), self.x.copy(), self.t)
 
-    def axpy(self, alpha: float, dv: np.ndarray, de: np.ndarray, dx: np.ndarray) -> "HydroState":
-        """Return self + alpha * (dv, de, dx) at the same time stamp."""
-        return HydroState(self.v + alpha * dv, self.e + alpha * de, self.x + alpha * dx, self.t)
-
     def norm(self) -> float:
         """Max-norm over all unknowns (used in stagnation checks)."""
         return max(

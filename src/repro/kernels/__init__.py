@@ -30,7 +30,7 @@ Kernel numbering follows Table 2:
 
 from repro.kernels.config import FEConfig
 from repro.kernels.base import KernelSpec, KERNEL_TABLE
-from repro.kernels.registry import all_kernels, get_kernel
+from repro.kernels.registry import all_kernels
 from repro.kernels import cublas
 
-__all__ = ["FEConfig", "KernelSpec", "KERNEL_TABLE", "all_kernels", "get_kernel", "cublas"]
+__all__ = ["FEConfig", "KernelSpec", "KERNEL_TABLE", "all_kernels", "cublas"]

@@ -22,14 +22,8 @@ __all__ = [
     "cublas_dgemm_batched_cost",
     "streamed_cublas_dgemv_time_s",
     "streamed_cublas_dgemv_gflops",
-    "CUBLAS_SMALL_BATCH_GFLOPS",
     "CUBLAS_STREAM_OVERHEAD_S",
 ]
-
-# Measured throughput of cublasDgemmBatched on DIM x DIM batches (paper
-# Section 3.2). The routine's fixed blocking wastes nearly the whole
-# thread block on such tiny operands.
-CUBLAS_SMALL_BATCH_GFLOPS = 1.3
 
 # Per-stream submission + synchronization cost of the streamed
 # cublasDgemv pattern (driver work per call dominates tiny GEMVs).

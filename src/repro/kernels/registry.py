@@ -20,23 +20,18 @@ from repro.gpu.specs import GPUSpec
 from repro.kernels.base import KERNEL_TABLE, KernelSpec
 from repro.kernels.base_quadloop import base_quadloop_cost
 from repro.kernels.config import FEConfig
-from repro.kernels.k11_spmv import kernel11_cost
 from repro.kernels.k12_pointwise import kernel1_cost, kernel2_cost
 from repro.kernels.k34_custom_gemm import kernel3_cost, kernel4_cost
 from repro.kernels.k56_dgemm_batched import kernel5_cost, kernel6_cost
 from repro.kernels.k7_force import kernel7_cost
 from repro.kernels.k810_gemv import kernel10_cost, kernel8_cost
-from repro.kernels.k9_pcg import pcg_step_costs
 
 __all__ = [
     "all_kernels",
-    "get_kernel",
-    "kernel_span_labels",
     "KernelSelection",
     "TuningAxis",
     "TUNING_AXES",
     "corner_force_costs",
-    "full_step_costs",
 ]
 
 
@@ -140,24 +135,6 @@ def all_kernels() -> tuple[KernelSpec, ...]:
     return KERNEL_TABLE
 
 
-def get_kernel(number: int) -> KernelSpec:
-    """Look up one kernel's Table 2 row by its number (1-11)."""
-    for spec in KERNEL_TABLE:
-        if spec.number == number:
-            return spec
-    raise KeyError(f"no kernel number {number} in Table 2")
-
-
-def kernel_span_labels() -> dict[int, str]:
-    """Table 2 number -> telemetry span name, for trace consumers.
-
-    The live tracer (`repro.telemetry`) names kernel-category spans
-    after Table 2 rows; this mapping lets analysis code join trace
-    spans back onto the cost-model inventory without string guessing.
-    """
-    return {spec.number: spec.span_label for spec in KERNEL_TABLE}
-
-
 def corner_force_costs(
     cfg: FEConfig,
     implementation: str = "optimized",
@@ -215,30 +192,3 @@ def corner_force_costs(
             kernel10_cost(cfg),
         ]
     raise ValueError(f"unknown implementation '{implementation}' (base|optimized)")
-
-
-def full_step_costs(
-    cfg: FEConfig,
-    pcg_iterations: float,
-    implementation: str = "optimized",
-    mass_nnz: float | None = None,
-    stages: int = 2,
-    use_cuda_pcg: bool = True,
-) -> list[KernelCost]:
-    """Kernel mix of one full RK2 time step on the GPU.
-
-    Each stage evaluates corner forces and the energy SpMV; the
-    momentum PCG (kernel 9) runs per stage per velocity component when
-    `use_cuda_pcg` (single-MPI configuration).
-    """
-    if stages < 1:
-        raise ValueError("stages must be >= 1")
-    costs: list[KernelCost] = []
-    for _ in range(stages):
-        costs.extend(corner_force_costs(cfg, implementation))
-        if use_cuda_pcg:
-            costs.extend(
-                pcg_step_costs(cfg, pcg_iterations, mass_nnz=mass_nnz, solves=cfg.dim)
-            )
-        costs.append(kernel11_cost(cfg))
-    return costs

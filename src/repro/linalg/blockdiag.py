@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.csr import CSRMatrix
-
 __all__ = ["BlockDiagonalMatrix"]
 
 
@@ -39,10 +37,6 @@ class BlockDiagonalMatrix:
             self._inv = np.linalg.inv(self.blocks)
         return self._inv
 
-    @property
-    def inverse_blocks(self) -> np.ndarray:
-        return self.precompute_inverse()
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
@@ -61,14 +55,6 @@ class BlockDiagonalMatrix:
 
     def diagonal(self) -> np.ndarray:
         return np.einsum("bii->bi", self.blocks).ravel()
-
-    def inverse_as_csr(self) -> CSRMatrix:
-        """The inverse laid out as a CSR matrix (what kernel 11 applies)."""
-        inv = self.precompute_inverse()
-        bs, nb = self.block_size, self.nblocks
-        rows = (np.arange(nb)[:, None, None] * bs + np.arange(bs)[None, :, None] + np.zeros((1, 1, bs), dtype=int)).ravel()
-        cols = (np.arange(nb)[:, None, None] * bs + np.zeros((1, bs, 1), dtype=int) + np.arange(bs)[None, None, :]).ravel()
-        return CSRMatrix.from_coo(rows, cols, inv.ravel(), (self.n, self.n))
 
     def is_symmetric(self, tol: float = 1e-12) -> bool:
         return bool(np.allclose(self.blocks, np.swapaxes(self.blocks, 1, 2), atol=tol, rtol=tol))

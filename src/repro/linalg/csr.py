@@ -134,16 +134,6 @@ class CSRMatrix:
             y[row_has] = sums
         return y
 
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """x = A.T @ y without forming the transpose."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.nrows,):
-            raise ValueError(f"y must have shape ({self.nrows},)")
-        row_ids = np.repeat(np.arange(self.nrows), np.diff(self.indptr))
-        out = np.zeros(self.ncols)
-        np.add.at(out, self.indices, self.data * y[row_ids])
-        return out
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
 
@@ -177,14 +167,6 @@ class CSRMatrix:
             and np.array_equal(t.indices, self.indices)
             and bool(np.allclose(t.data, self.data, atol=tol, rtol=tol))
         )
-
-    def scale_rows(self, s: np.ndarray) -> "CSRMatrix":
-        """Return diag(s) @ A."""
-        s = np.asarray(s, dtype=np.float64)
-        if s.shape != (self.nrows,):
-            raise ValueError("scale vector length mismatch")
-        row_ids = np.repeat(np.arange(self.nrows), np.diff(self.indptr))
-        return CSRMatrix(self.data * s[row_ids], self.indices.copy(), self.indptr.copy(), self.shape)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"

@@ -17,7 +17,6 @@ __all__ = [
     "batched_adjugate",
     "batched_inverse",
     "batched_matmul",
-    "batched_trace",
 ]
 
 
@@ -117,9 +116,3 @@ def batched_matmul(
                 np.multiply(a[..., i, r], b[..., r, j], out=tmp)
                 np.add(o, tmp, out=o)
     return out
-
-
-def batched_trace(a: np.ndarray) -> np.ndarray:
-    """Traces of (..., d, d) matrices."""
-    a = _as_square_batch(a)
-    return np.einsum("...ii->...", a)

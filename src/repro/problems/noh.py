@@ -80,8 +80,3 @@ class NohProblem(Problem):
     def post_shock_density(self) -> float:
         """((gamma+1)/(gamma-1))^dim: 16 in 2D, 64 in 3D at gamma=5/3."""
         return ((self.gamma + 1.0) / (self.gamma - 1.0)) ** self.dim
-
-    def pre_shock_density(self, r: np.ndarray, t: float) -> np.ndarray:
-        """Upstream density profile (1 + t/r)^(dim-1) from convergence."""
-        r = np.asarray(r, dtype=np.float64)
-        return (1.0 + t / np.maximum(r, 1e-14)) ** (self.dim - 1)

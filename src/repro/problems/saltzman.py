@@ -55,7 +55,6 @@ class SaltzmanProblem(Problem):
                 return out
 
             mesh = mesh.transform(skew_map)
-            mesh.grid_shape = None  # the skewed grid is not lexicographic-uniform
         super().__init__(mesh, order)
         self.gamma = gamma
         self.skew = skew

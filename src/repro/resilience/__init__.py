@@ -21,7 +21,6 @@ from repro.resilience.faults import (
     InjectedFault,
     PCIeTransferFault,
     RankFailure,
-    StateCorruptionFault,
     parse_fault_specs,
 )
 from repro.resilience.policy import (
@@ -50,7 +49,6 @@ __all__ = [
     "InjectedFault",
     "PCIeTransferFault",
     "RankFailure",
-    "StateCorruptionFault",
     "parse_fault_specs",
     "BackoffPolicy",
     "GpuOffloadPricer",

@@ -34,7 +34,6 @@ __all__ = [
     "GPUKernelFault",
     "PCIeTransferFault",
     "RankFailure",
-    "StateCorruptionFault",
     "FaultSpec",
     "FaultRecord",
     "FaultInjector",
@@ -80,14 +79,6 @@ class RankFailure(InjectedFault):
     def __init__(self, message: str, *, rank: int = 0, **kw):
         super().__init__(message, **kw)
         self.rank = rank
-
-
-class StateCorruptionFault(InjectedFault):
-    """Marker type for silent-data-corruption events (never raised at the
-    injection site — the corruption is applied in place and must be
-    *detected* by the watchdog, like real SDC)."""
-
-    kind = "state"
 
 
 @dataclass(frozen=True)

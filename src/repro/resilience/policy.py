@@ -142,8 +142,7 @@ class GpuOffloadPricer:
     dead and every later step prices degraded without re-probing.
     """
 
-    def __init__(self, executor, injector=None, policy: RecoveryPolicy | None = None,
-                 seed: int = 0):
+    def __init__(self, executor, injector=None, policy: RecoveryPolicy | None = None):
         from repro.gpu.device import SimulatedGPU
         from repro.gpu.pcie import PCIeModel
         from repro.kernels.registry import corner_force_costs
@@ -152,7 +151,7 @@ class GpuOffloadPricer:
             raise ValueError("offload pricing requires an executor with a GPU")
         self.executor = executor
         self.policy = policy or RecoveryPolicy()
-        self.device = SimulatedGPU(executor.gpu, seed=seed, fault_injector=injector)
+        self.device = SimulatedGPU(executor.gpu, fault_injector=injector)
         self.pcie = PCIeModel(executor.gpu, fault_injector=injector)
         self.cf_costs = list(corner_force_costs(executor.cfg, executor.implementation))
         self.plan = PCIeModel.state_vectors_plan(

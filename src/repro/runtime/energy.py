@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["EnergyAccount", "GreenupReport", "greenup", "account_from_tracer"]
+__all__ = ["EnergyAccount", "GreenupReport", "greenup"]
 
 
 @dataclass
@@ -76,23 +76,6 @@ class GreenupReport:
             f"speedup={self.speedup:5.2f} greenup={self.greenup:5.2f} "
             f"energy saved={self.energy_saved_fraction:5.1%}"
         )
-
-
-def account_from_tracer(tracer, label: str = "") -> EnergyAccount:
-    """Lift a live telemetry trace into an `EnergyAccount`.
-
-    One phase per distinct span name, using the leaf-attributed joules
-    and wall seconds from `tracer.leaf_energy_table()` — so a traced
-    real run can be compared (greenup, average power) against the
-    modelled `HybridExecutor` accounts with the same machinery.
-    """
-    account = EnergyAccount(label or "traced")
-    for name, row in tracer.leaf_energy_table().items():
-        seconds = row["seconds"]
-        joules = row["cpu_j"] + row["gpu_j"]
-        power = joules / seconds if seconds > 0 else 0.0
-        account.add(name, seconds, power)
-    return account
 
 
 def greenup(cpu: EnergyAccount, hybrid: EnergyAccount, method: str = "") -> GreenupReport:

@@ -6,9 +6,10 @@ assigned to one of the tasks in the group (the master). This results in
 a non-overlapping decomposition of the global vectors..."
 
 `build_dof_groups` computes exactly that structure from an H1 space and
-a zone partition, and `DofGroups` provides the two primitives MFEM-style
-parallel assembly needs: summing duplicated interface contributions
-(group reduce) and the master-owned non-overlapping decomposition.
+a zone partition: each dof's sharing ranks, its master, and per rank the
+dofs it shares. `split_interface_zones` then tells each rank which of its
+zones touch the interface, the zones whose contributions need the group
+exchange.
 """
 
 from __future__ import annotations
@@ -49,16 +50,6 @@ class DofGroups:
         for dof, ranks in enumerate(self.dof_ranks):
             out.setdefault(ranks, []).append(dof)
         return {g: np.asarray(d) for g, d in out.items()}
-
-    def owned_dofs(self, rank: int) -> np.ndarray:
-        """Non-overlapping decomposition: dofs mastered by `rank`."""
-        if not (0 <= rank < self.nranks):
-            raise ValueError("rank out of range")
-        return np.flatnonzero(self.master == rank)
-
-    def interface_bytes_per_rank(self, dofs_per_value: int = 8) -> np.ndarray:
-        """Communication volume estimate per rank (one exchange)."""
-        return np.array([s.size * dofs_per_value for s in self.shared_dofs], dtype=float)
 
 
 def build_dof_groups(space: H1Space, zone_rank: np.ndarray) -> DofGroups:
@@ -117,35 +108,3 @@ def split_interface_zones(
         mask = zone_touches_iface[zones]
         out.append((zones[mask], zones[~mask]))
     return out
-
-
-def distributed_scatter_add(
-    space: H1Space,
-    zone_rank: np.ndarray,
-    zvals: np.ndarray,
-    groups: DofGroups | None = None,
-) -> np.ndarray:
-    """Assemble zone contributions rank-by-rank, then combine groups.
-
-    The functional proof that the decomposition is correct: each rank
-    assembles only its own zones; interface dofs are then summed across
-    the sharing group. The result must equal the serial scatter_add.
-    """
-    zone_rank = np.asarray(zone_rank, dtype=np.int64)
-    if groups is None:
-        groups = build_dof_groups(space, zone_rank)
-    partial = np.zeros((groups.nranks,) + (space.ndof,) + zvals.shape[2:])
-    for r in range(groups.nranks):
-        mask = zone_rank == r
-        if not mask.any():
-            continue
-        sub = np.zeros((space.ndof,) + zvals.shape[2:])
-        np.add.at(
-            sub,
-            space.ldof[mask].reshape(-1),
-            zvals[mask].reshape((-1,) + zvals.shape[2:]),
-        )
-        partial[r] = sub
-    # Group combine: interface dofs sum their sharing ranks' parts;
-    # interior dofs live wholly on their single rank.
-    return partial.sum(axis=0)

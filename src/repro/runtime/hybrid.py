@@ -184,11 +184,11 @@ class HybridExecutor:
         account.add("step", step.total_s * steps, cpu_power)
         return ExecutionReport("cpu-only", step, steps, cpu_power, 0.0, account)
 
-    def hybrid(self, steps: int = 1, seed: int = 0) -> ExecutionReport:
+    def hybrid(self, steps: int = 1) -> ExecutionReport:
         """Corner force on the GPU; CG on GPU only with one MPI task."""
         if self.gpu is None:
             raise ValueError("hybrid execution requires a GPU")
-        device = SimulatedGPU(self.gpu, seed=seed)
+        device = SimulatedGPU(self.gpu)
         cf_costs = corner_force_costs(self.cfg, self.implementation)
         cf_phase = device.run_phase(cf_costs * _STAGES, concurrent_clients=self.nmpi)
         pcie = PCIeModel(self.gpu)
@@ -224,35 +224,6 @@ class HybridExecutor:
         account = EnergyAccount("hybrid")
         account.add("step", step.total_s * steps, cpu_power + gpu_power)
         return ExecutionReport("hybrid", step, steps, cpu_power, gpu_power, account)
-
-    def kernel_breakdown(self, seed: int = 0) -> list[dict]:
-        """Modelled per-kernel time/power of one GPU corner-force stage.
-
-        Returns Table 2-keyed rows (name, seconds, watts, joules,
-        occupancy) from the roofline model. This is *simulated* device
-        time — it deliberately does not go on the live wall-clock tracer
-        (which meters host execution only); `RunManifest` embeds it so a
-        traced offload run still reports where the modelled GPU joules
-        would go.
-        """
-        if self.gpu is None:
-            return []
-        from repro.gpu.execution import execute_kernel
-
-        rows = []
-        for cost in corner_force_costs(self.cfg, self.implementation):
-            t = execute_kernel(self.gpu, cost)
-            watts = self.gpu.idle_w + t.dynamic_power_w
-            rows.append(
-                {
-                    "name": cost.name,
-                    "seconds": t.time_s,
-                    "watts": watts,
-                    "joules": watts * t.time_s,
-                    "occupancy": t.occupancy.occupancy,
-                }
-            )
-        return rows
 
     # -- Comparisons --------------------------------------------------------------------
 

@@ -22,13 +22,11 @@ Quickstart::
 from repro.service.breaker import (
     BreakerBoard,
     BreakerConfig,
-    BreakerOpenError,
     CircuitBreaker,
 )
 from repro.service.fleet import FleetConfig, RetryPolicy, SimulationFleet
 from repro.service.jobs import (
     JOB_STATES,
-    TERMINAL_STATES,
     DeadlineExceeded,
     JobHandle,
     JobResult,
@@ -52,7 +50,6 @@ __all__ = [
     "JobResult",
     "JobHandle",
     "JOB_STATES",
-    "TERMINAL_STATES",
     "DeadlineExceeded",
     "state_digest",
     "AdmissionError",
@@ -61,7 +58,6 @@ __all__ = [
     "CircuitBreaker",
     "BreakerBoard",
     "BreakerConfig",
-    "BreakerOpenError",
     "JobJournal",
     "JournalCorruptionError",
     "RecoveredState",

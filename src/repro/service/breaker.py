@@ -23,21 +23,14 @@ from wall time passing).
 """
 
 from __future__ import annotations
-from repro.errors import ReproError
 
 import threading
 from dataclasses import dataclass, field
 
-__all__ = ["BreakerConfig", "BreakerOpenError", "CircuitBreaker", "BreakerBoard"]
-
-STATES = ("closed", "open", "half-open")
+__all__ = ["BreakerConfig", "CircuitBreaker", "BreakerBoard"]
 
 #: Backend degradation routes: circuit open on the key -> run on the value.
 DEGRADE_ROUTES = {"hybrid": "cpu-fused"}
-
-
-class BreakerOpenError(ReproError, RuntimeError):
-    """Raised when a backend is refused and no degrade route exists."""
 
 
 @dataclass(frozen=True)

@@ -284,6 +284,8 @@ class SimulationFleet:
 
         if resume and self.journal is not None:
             self._recover()
+        elif self.journal is not None:
+            self.journal._take_opened()  # nothing will read the open's replay
         if start and self.config.workers > 0:
             self.start()
 
@@ -415,30 +417,11 @@ class SimulationFleet:
             self.handles[spec.job_id] = handle
             self._stats["submitted"] += 1
 
-        # O(1) repeat: an identical computation already completed.
-        if self.config.reuse_results:
-            hit = self.results.get(spec.content_key())
-            if hit is not None:
-                result, state = hit
-                result = replace(
-                    result, job_id=spec.job_id, cached=True, wall_s=0.0,
-                    status="succeeded",
-                )
-                self._journal("submit", job=spec.to_dict())
-                self._journal(
-                    "complete", job_id=spec.job_id,
-                    content_key=spec.content_key(),
-                    state_sha256=result.state_sha256, cached=True,
-                )
-                with self._lock:
-                    self._stats["cached"] += 1
-                    self._stats["completed"] += 1
-                self._event("job_cached", job_id=spec.job_id)
-                handle._finish(result)
-                return handle
-
         # Write-ahead: record the admission before acting on it.
         self._journal("submit", job=spec.to_dict())
+        # O(1) repeat: an identical computation already completed.
+        if self._serve_stored(spec, handle, "job_cached"):
+            return handle
         try:
             displaced = self.queue.submit(spec, handle)
         except AdmissionError as err:
@@ -464,15 +447,6 @@ class SimulationFleet:
         self._event("job_cancelled", job_id=handle.job_id)
         return True
 
-    def wait_all(self, timeout: float | None = None) -> list[JobResult]:
-        """Wait for every submitted job; returns their results."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        results = []
-        for handle in list(self.handles.values()):
-            remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
-            results.append(handle.wait(remaining))
-        return results
-
     # -- recovery -----------------------------------------------------------
 
     def _recover(self) -> None:
@@ -484,21 +458,9 @@ class SimulationFleet:
             with self._lock:
                 self._stats["recovered"] += 1
                 self._stats["submitted"] += 1
-            key = spec.content_key()
-            hit = self.results.get(key) if self.config.reuse_results else None
-            if hit is not None:
-                # The same computation completed before the crash under
-                # another job id — serve it bit-identically, don't re-run.
-                result, _state = hit
-                result = replace(result, job_id=spec.job_id, cached=True,
-                                 status="succeeded", wall_s=0.0)
-                self._journal("complete", job_id=spec.job_id, content_key=key,
-                              state_sha256=result.state_sha256, cached=True)
-                with self._lock:
-                    self._stats["cached"] += 1
-                    self._stats["completed"] += 1
-                handle._finish(result)
-                self._event("job_recovered_cached", job_id=spec.job_id)
+            # The same computation completed before the crash under
+            # another job id — serve it bit-identically, don't re-run.
+            if self._serve_stored(spec, handle, "job_recovered_cached"):
                 continue
             self.queue.submit(spec, handle, force=True, recovered=True)
             self._event("job_recovered", job_id=spec.job_id,
@@ -533,24 +495,35 @@ class SimulationFleet:
                 self._last_activity = time.monotonic()
                 self._idle.notify_all()
 
+    def _serve_stored(self, spec: JobSpec, handle: JobHandle, event: str) -> bool:
+        """Finish `handle` with the stored result of the same computation.
+
+        Returns False on a miss (or with `reuse_results` off). A hit is
+        journaled as a cached `complete` record, counted as cached and
+        completed, and announced as `event`.
+        """
+        if not self.config.reuse_results:
+            return False
+        key = spec.content_key()
+        hit = self.results.get(key)
+        if hit is None:
+            return False
+        result = replace(hit[0], job_id=spec.job_id, cached=True,
+                         status="succeeded", wall_s=0.0)
+        self._journal("complete", job_id=spec.job_id, content_key=key,
+                      state_sha256=result.state_sha256, cached=True)
+        with self._lock:
+            self._stats["cached"] += 1
+            self._stats["completed"] += 1
+        handle._finish(result)
+        self._event(event, job_id=spec.job_id)
+        return True
+
     def _execute(self, spec: JobSpec, handle: JobHandle) -> None:
         # A queued duplicate whose twin completed while it waited is
         # served from the store — same computation, same bits.
-        if self.config.reuse_results:
-            hit = self.results.get(spec.content_key())
-            if hit is not None:
-                result, _state = hit
-                result = replace(result, job_id=spec.job_id, cached=True,
-                                 status="succeeded", wall_s=0.0)
-                self._journal("complete", job_id=spec.job_id,
-                              content_key=spec.content_key(),
-                              state_sha256=result.state_sha256, cached=True)
-                with self._lock:
-                    self._stats["cached"] += 1
-                    self._stats["completed"] += 1
-                handle._finish(result)
-                self._event("job_cached", job_id=spec.job_id)
-                return
+        if self._serve_stored(spec, handle, "job_cached"):
+            return
         retry = self.config.retry
         requested = spec.config.resolved_backend
         effective, degraded, breaker = self.breakers.route(requested)
@@ -818,11 +791,3 @@ class SimulationFleet:
             "arena": self._arena.stats(),
             "results_cached": len(self.results),
         }
-
-    def write_manifest(self, path) -> "object":
-        """Export the rollup as a `repro.telemetry.FleetManifest` JSON."""
-        from repro.telemetry import FleetManifest
-
-        manifest = FleetManifest.from_rollup(self.rollup())
-        manifest.write(path)
-        return manifest

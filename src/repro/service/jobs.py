@@ -33,7 +33,6 @@ from repro.errors import ConfigError, ReproError
 
 __all__ = [
     "JOB_STATES",
-    "TERMINAL_STATES",
     "DeadlineExceeded",
     "JobSpec",
     "JobResult",
@@ -42,10 +41,6 @@ __all__ = [
 ]
 
 JOB_STATES = ("pending", "running", "succeeded", "failed", "shed", "cancelled")
-
-#: States a job never leaves. Exactly one terminal journal record is
-#: written per job id.
-TERMINAL_STATES = ("succeeded", "failed", "shed", "cancelled")
 
 
 class DeadlineExceeded(ReproError, RuntimeError):

@@ -74,13 +74,24 @@ class JobJournal:
         self.sync = sync
         self._lock = threading.Lock()
         self.recovered_corrupt_lines = 0
-        # Continue the sequence from the existing journal (restart).
+        # Continue the sequence from the existing journal (restart). The
+        # records this replay read are kept for the first `recover()`,
+        # so a fleet start parses and verifies each line once; an append
+        # drops them, since they no longer cover the file.
         self._seq = 0
+        self._opened: list[dict] | None = None
         if self.path.exists():
-            records = self.replay()
-            if records:
-                self._seq = max(r["seq"] for r in records) + 1
+            self._opened = self.replay()
+            if self._opened:
+                self._seq = max(r["seq"] for r in self._opened) + 1
             self._end_torn_line()
+
+    def _take_opened(self) -> list[dict] | None:
+        """The records the open read, if nothing was appended since;
+        handed out once (package-internal: `recover`, the fleet)."""
+        with self._lock:
+            records, self._opened = self._opened, None
+        return records
 
     def _end_torn_line(self) -> None:
         """Terminate a last line a crash tore, once per open: appended
@@ -113,6 +124,7 @@ class JobJournal:
         if rtype not in RECORD_TYPES:
             raise ValueError(f"unknown journal record type '{rtype}'")
         with self._lock:
+            self._opened = None
             record = {"seq": self._seq, "type": rtype, **payload}
             record[_HASH_KEY] = _record_digest(record)
             line = json.dumps(record, sort_keys=True, default=repr)
@@ -175,13 +187,17 @@ class RecoveredState:
 
 
 def recover(journal: JobJournal) -> RecoveredState:
-    """Fold a replayed journal into restart state (see `RecoveredState`)."""
+    """Fold a replayed journal into restart state (see `RecoveredState`).
+
+    Reuses the records the journal's open read when nothing was appended
+    since, so each line is parsed, verified and warned about once."""
     specs: dict[str, JobSpec] = {}
     order: list[str] = []
     started: set[str] = set()
     terminal: dict[str, str] = {}
     completed: dict[str, str] = {}
-    for record in journal.replay():
+    records = journal._take_opened()
+    for record in records if records is not None else journal.replay():
         rtype = record.get("type")
         job_id = record.get("job_id") or record.get("job", {}).get("job_id")
         if rtype == "submit":

@@ -166,15 +166,6 @@ class TuningCache:
         self.store(spec, cfg, kernel, params, backend, objective)
         return params
 
-    def invalidate_device(self, spec: GPUSpec) -> int:
-        """Drop every entry for one device; returns the count removed."""
-        prefix = self.device_fingerprint(spec) + "::"
-        doomed = [k for k in self._store if k.startswith(prefix)]
-        for k in doomed:
-            del self._store[k]
-        self._flush()
-        return len(doomed)
-
     def __len__(self) -> int:
         return len(self._store)
 

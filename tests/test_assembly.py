@@ -6,7 +6,6 @@ import pytest
 from repro.fem.assembly import (
     assemble_kinematic_mass,
     assemble_thermodynamic_mass,
-    lump_mass,
     zone_mass_blocks,
 )
 from repro.fem.geometry import GeometryEvaluator
@@ -60,12 +59,6 @@ class TestKinematicMass:
         ones = np.ones(h1.ndof)
         expect = 1.0 + 9.0 * 0.25  # 1 + extra mass in zone of volume 1/4
         assert ones @ m.matvec(ones) == pytest.approx(expect, rel=1e-12)
-
-    def test_lump_mass_positive(self):
-        _, h1, _, quad, geo, rho = setup(k=2)
-        m = assemble_kinematic_mass(h1, quad, rho, geo)
-        lumped = lump_mass(m)
-        assert lumped.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_3d_total_mass(self):
         _, h1, _, quad, geo, rho = setup(dim=3, nx=2, ny=2, k=1, rho=2.0)

@@ -37,13 +37,6 @@ class TestBlockDiagonal:
         m = BlockDiagonalMatrix(blocks)
         assert np.allclose(m.diagonal(), np.concatenate([np.diag(b) for b in blocks]))
 
-    def test_inverse_as_csr(self, rng):
-        m = BlockDiagonalMatrix(spd_blocks(rng, 4, 3))
-        csr = m.inverse_as_csr()
-        b = rng.standard_normal(12)
-        assert np.allclose(csr.matvec(b), m.solve(b), atol=1e-10)
-        assert csr.nnz == 4 * 9  # block-diagonal sparsity
-
     def test_symmetry_check(self, rng):
         sym = BlockDiagonalMatrix(spd_blocks(rng, 2, 3))
         assert sym.is_symmetric()

@@ -66,12 +66,6 @@ class TestOps:
         y = m.matvec(np.array([1.0, 1.0, 1.0, 1.0]))
         assert np.allclose(y, [2.0, 0, 0, 5.0, 0])
 
-    def test_rmatvec(self, rng):
-        rows, cols, vals = random_coo(rng, 12, 9, 40)
-        m = CSRMatrix.from_coo(rows, cols, vals, (12, 9))
-        y = rng.standard_normal(12)
-        assert np.allclose(m.rmatvec(y), m.to_dense().T @ y)
-
     def test_matmul_operator(self, rng):
         m = CSRMatrix.from_dense(rng.standard_normal((4, 4)))
         x = rng.standard_normal(4)
@@ -99,12 +93,6 @@ class TestOps:
         assert not nonsym.is_symmetric()
         rect = CSRMatrix.from_coo([0], [0], [1.0], (2, 3))
         assert not rect.is_symmetric()
-
-    def test_scale_rows(self, rng):
-        d = rng.standard_normal((4, 4))
-        m = CSRMatrix.from_dense(d)
-        s = rng.standard_normal(4)
-        assert np.allclose(m.scale_rows(s).to_dense(), s[:, None] * d)
 
     def test_matvec_shape_check(self):
         m = CSRMatrix.identity(3)

@@ -1,4 +1,4 @@
-"""Tests for closed-form symmetric eigendecomposition and small SVD."""
+"""Tests for closed-form symmetric eigendecomposition and small singular values."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.linalg.eig import sym_eig_2x2, sym_eig_3x3, sym_eigvals
-from repro.linalg.svd_small import batched_singular_values, batched_svd
+from repro.linalg.svd_small import batched_singular_values
 
 
 def random_sym(rng, n, d):
@@ -120,33 +120,6 @@ class TestSVD:
         s = batched_singular_values(a)
         s_np = np.sort(np.linalg.svd(a, compute_uv=False), axis=-1)
         assert np.allclose(s, s_np, atol=1e-9)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_reconstruction(self, rng, d):
-        a = rng.standard_normal((25, d, d))
-        u, s, v = batched_svd(a)
-        recon = (u * s[..., None, :]) @ np.swapaxes(v, -1, -2)
-        assert np.allclose(recon, a, atol=1e-8)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_orthogonality(self, rng, d):
-        a = rng.standard_normal((25, d, d))
-        u, _, v = batched_svd(a)
-        assert np.allclose(np.swapaxes(u, -1, -2) @ u, np.eye(d), atol=1e-8)
-        assert np.allclose(np.swapaxes(v, -1, -2) @ v, np.eye(d), atol=1e-8)
-
-    def test_rank_deficient(self):
-        a = np.array([[[1.0, 0.0], [0.0, 0.0]]])
-        u, s, v = batched_svd(a)
-        assert s[0, 0] == pytest.approx(0.0, abs=1e-12)
-        assert s[0, 1] == pytest.approx(1.0)
-        recon = (u * s[..., None, :]) @ np.swapaxes(v, -1, -2)
-        assert np.allclose(recon, a, atol=1e-12)
-
-    def test_descending_flag(self, rng):
-        a = rng.standard_normal((10, 3, 3))
-        _, s, _ = batched_svd(a, descending=True)
-        assert np.all(np.diff(s, axis=-1) <= 1e-13)
 
     def test_min_singular_value_is_length_scale(self):
         """For a diagonal stretching map, sigma_min is the shortest axis

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hydro.eos import GammaLawEOS, StiffenedGasEOS
+from repro.hydro.eos import GammaLawEOS
 
 
 class TestGammaLaw:
@@ -55,29 +55,3 @@ class TestGammaLaw:
         cs = float(eos.sound_speed(rho, e))
         assert p >= 0.0
         assert cs * cs == pytest.approx(gamma * p / rho, rel=1e-10, abs=1e-12)
-
-
-class TestStiffenedGas:
-    def test_reduces_to_gamma_law(self):
-        sg = StiffenedGasEOS(gamma=1.4, p_inf=0.0)
-        gl = GammaLawEOS(gamma=1.4)
-        assert sg.pressure(2.0, 3.0) == pytest.approx(float(gl.pressure(2.0, 3.0)))
-
-    def test_p_inf_shifts_pressure(self):
-        sg = StiffenedGasEOS(gamma=4.4, p_inf=1.0)
-        assert sg.pressure(1.0, 1.0) == pytest.approx(3.4 - 4.4)
-
-    def test_sound_speed_nonnegative(self):
-        sg = StiffenedGasEOS(gamma=4.4, p_inf=2.0)
-        assert sg.sound_speed(1.0, 0.0) >= 0.0
-
-    def test_roundtrip(self):
-        sg = StiffenedGasEOS(gamma=2.0, p_inf=0.5)
-        p = sg.pressure(3.0, 1.2)
-        assert sg.energy_from_pressure(3.0, p) == pytest.approx(1.2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StiffenedGasEOS(gamma=0.5)
-        with pytest.raises(ValueError):
-            StiffenedGasEOS(p_inf=-1.0)

@@ -2,7 +2,8 @@
 
 Also: bad run knobs end in a typed `ConfigError`, raised where each
 check lives, never in a traceback from deep inside a run (the
-`test_smoke_*` cases and a `hypothesis` sweep over `RunConfig`).
+`test_smoke_*` cases, and `hypothesis` sweeps over `RunConfig` and the
+`rank_schedule` text).
 """
 
 import re
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import run
-from repro.config import BACKEND_NAMES, RunConfig
+from repro.config import BACKEND_NAMES, RunConfig, parse_rank_schedule
 from repro.errors import (
     ConfigError,
     CorruptionError,
@@ -36,7 +37,6 @@ class TestHierarchy:
         from repro.io.checkpoint import CheckpointCorruptionError
         from repro.service import (
             AdmissionError,
-            BreakerOpenError,
             DeadlineExceeded,
             JournalCorruptionError,
         )
@@ -45,7 +45,7 @@ class TestHierarchy:
         for exc in (CheckpointCorruptionError, JournalCorruptionError,
                     TuningCacheCorruptionError):
             assert issubclass(exc, CorruptionError)
-        for exc in (AdmissionError, DeadlineExceeded, BreakerOpenError):
+        for exc in (AdmissionError, DeadlineExceeded):
             assert issubclass(exc, ReproError)
             assert issubclass(exc, RuntimeError)
             assert not issubclass(exc, CorruptionError)
@@ -160,6 +160,33 @@ class TestRunConfigProperty:
             return
         assert report.steps >= 1
         assert cfg.workers == 0 and cfg.resolved_backend in BACKEND_NAMES
+
+
+# Text near the "step:ranks,..." grammar (digits, signs, separators,
+# spaces, underscores) or any text at all.
+_schedules = (st.none() | st.text(alphabet="0123456789:,-+ _\t", max_size=16)
+              | st.text(max_size=12))
+
+
+class TestRankScheduleProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=_schedules, ranks=st.integers(-1, 4))
+    def test_schedule_parses_or_raises_config_error(self, text, ranks):
+        """Any text parses to a {step >= 1: ranks >= 1} dict or raises
+        `ConfigError`, and a `RunConfig` carrying it raises nothing else."""
+        try:
+            schedule = parse_rank_schedule(text)
+        except ConfigError:
+            pass
+        else:
+            assert isinstance(schedule, dict)
+            for step, nranks in schedule.items():
+                assert type(step) is int and step >= 1
+                assert type(nranks) is int and nranks >= 1
+        try:
+            RunConfig(ranks=ranks, rank_schedule=text)
+        except ConfigError:
+            pass
 
 
 class TestHypothesisReports:

@@ -1,11 +1,9 @@
 """Tests for the GPU roofline execution and power models."""
 
-import numpy as np
 import pytest
 
 from repro.gpu.execution import KERNEL_LAUNCH_OVERHEAD_S, KernelCost, execute_kernel
 from repro.gpu.memory import MemoryHierarchy
-from repro.gpu.nvml import NVMLInterface
 from repro.gpu.pcie import PCIeModel
 from repro.gpu.power import GPUPowerModel
 from repro.gpu.specs import get_gpu
@@ -71,6 +69,17 @@ class TestExecution:
             assert 0.0 <= v <= 1.0
         assert t.busy["dram"] > 0
 
+    def test_achieved_never_exceeds_roof(self):
+        """No optimized 3D Q2 corner-force kernel beats the K20 compute
+        peak; on-chip-bound kernels may beat the *DRAM* roof."""
+        from repro.kernels import FEConfig
+        from repro.kernels.registry import corner_force_costs
+
+        k20 = get_gpu("K20")
+        cfg = FEConfig(dim=3, order=2, nzones=512)
+        for c in corner_force_costs(cfg, "optimized"):
+            assert execute_kernel(k20, c).gflops <= k20.peak_dp_gflops * 1.001
+
     def test_validation(self):
         with pytest.raises(ValueError):
             cost(flops=-1)
@@ -81,11 +90,6 @@ class TestExecution:
 
 
 class TestMemoryHierarchy:
-    def test_energy_ratio(self):
-        """Device-memory bytes must cost ~50x shared bytes (Hong&Kim)."""
-        mem = MemoryHierarchy.of(get_gpu("K20"))
-        assert 30 <= mem.energy_ratio_dram_to_shared <= 80
-
     def test_traffic_energy_monotone(self):
         mem = MemoryHierarchy.of(get_gpu("K20"))
         assert mem.traffic_energy_j(1e9, 0, 0) > mem.traffic_energy_j(0, 1e9, 0)
@@ -123,13 +127,6 @@ class TestPowerModel:
         p32 = pm.active_power(t, concurrent_clients=32)
         assert p64 == p32
 
-    def test_trace_sampling(self):
-        pm = GPUPowerModel(get_gpu("K20"))
-        samples = pm.trace([(0.01, 100.0), (0.01, 150.0)], sample_period_s=1e-3)
-        assert len(samples) == 20
-        assert samples[0].power_w == pytest.approx(100.0)
-        assert samples[-1].power_w == pytest.approx(150.0)
-
     def test_validation(self):
         pm = GPUPowerModel(get_gpu("K20"))
         t = [execute_kernel(get_gpu("K20"), cost())]
@@ -137,42 +134,6 @@ class TestPowerModel:
             pm.active_power(t, duty_cycle=0.0)
         with pytest.raises(ValueError):
             pm.active_power(t, concurrent_clients=0)
-
-
-class TestNVML:
-    def test_power_reading_with_noise_band(self):
-        nvml = NVMLInterface(get_gpu("K20"), seed=1)
-        nvml.register_phase(0.0, 1.0, 120.0)
-        reads = [nvml.power_at(0.5) for _ in range(50)]
-        assert all(115.0 - 1e-9 <= r <= 125.0 + 1e-9 for r in reads)
-        assert nvml.power_at(0.5, exact=True) == 120.0
-
-    def test_idle_outside_phases(self):
-        nvml = NVMLInterface(get_gpu("K20"))
-        nvml.register_phase(1.0, 2.0, 150.0)
-        assert nvml.power_at(0.5, exact=True) == 20.0
-
-    def test_energy_integration(self):
-        nvml = NVMLInterface(get_gpu("K20"))
-        nvml.register_phase(0.0, 2.0, 100.0)
-        # 2 s at 100 W + 1 s idle at 20 W
-        assert nvml.energy_j(0.0, 3.0) == pytest.approx(220.0)
-
-    def test_trace_length(self):
-        nvml = NVMLInterface(get_gpu("K20"))
-        nvml.register_phase(0.0, 0.1, 90.0)
-        trace = nvml.sample_trace(0.0, 0.1)
-        assert len(trace) == 100
-
-    def test_device_info(self):
-        info = NVMLInterface(get_gpu("K20")).device_info()
-        assert info.name == "K20"
-        assert info.power_limit_w == 225.0
-
-    def test_phase_validation(self):
-        nvml = NVMLInterface(get_gpu("K20"))
-        with pytest.raises(ValueError):
-            nvml.register_phase(1.0, 1.0, 50.0)
 
 
 class TestPCIe:

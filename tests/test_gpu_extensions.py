@@ -1,11 +1,10 @@
-"""Tests for streams overlap, multi-GPU, and the tuning cache."""
+"""Tests for streams overlap and the tuning cache."""
 
 import numpy as np
 import pytest
 
 from repro.gpu import get_gpu
 from repro.gpu.execution import KernelCost
-from repro.gpu.multigpu import balanced_shares, run_multi_gpu_phase
 from repro.gpu.streams import overlap_phase
 from repro.kernels import FEConfig
 from repro.kernels.registry import corner_force_costs
@@ -50,38 +49,6 @@ class TestStreams:
             overlap_phase(K20, costs(), -1.0, 0.0)
 
 
-class TestMultiGPU:
-    def test_two_gpus_nearly_halve_time(self):
-        one = run_multi_gpu_phase(K20, costs(), balanced_shares(1))
-        two = run_multi_gpu_phase(K20, costs(), balanced_shares(2))
-        assert two.time_s < 0.75 * one.time_s
-
-    def test_node_power_sums(self):
-        two = run_multi_gpu_phase(K20, costs(), balanced_shares(2))
-        per = [r.power_w for r in two.per_device]
-        assert two.power_w == pytest.approx(sum(per))
-
-    def test_unbalanced_split_is_slower(self):
-        even = run_multi_gpu_phase(K20, costs(), [0.5, 0.5])
-        skew = run_multi_gpu_phase(K20, costs(), [0.9, 0.1])
-        assert skew.time_s > even.time_s
-        assert skew.imbalance > even.imbalance
-
-    def test_energy_conserved_across_split(self):
-        """Same work, so similar total energy regardless of split."""
-        one = run_multi_gpu_phase(K20, costs(), balanced_shares(1))
-        two = run_multi_gpu_phase(K20, costs(), balanced_shares(2))
-        assert two.energy_j == pytest.approx(one.energy_j, rel=0.35)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_multi_gpu_phase(K20, costs(), [])
-        with pytest.raises(ValueError):
-            run_multi_gpu_phase(K20, costs(), [0.7, 0.7])
-        with pytest.raises(ValueError):
-            balanced_shares(0)
-
-
 class TestTuningCache:
     def test_miss_then_hit(self, tmp_path):
         cache = TuningCache(tmp_path / "tune.json")
@@ -114,14 +81,6 @@ class TestTuningCache:
         TuningCache(path).store(K20, CFG, "kernel7", {"block_cols": 16})
         reloaded = TuningCache(path)
         assert reloaded.lookup(K20, CFG, "kernel7") == {"block_cols": 16}
-
-    def test_invalidate_device(self, tmp_path):
-        cache = TuningCache(tmp_path / "t.json")
-        cache.store(K20, CFG, "a", {"m": 1})
-        cache.store(K20, CFG, "b", {"m": 2})
-        cache.store(get_gpu("C2050"), CFG, "a", {"m": 3})
-        assert cache.invalidate_device(K20) == 2
-        assert len(cache) == 1
 
     def test_memory_only_mode(self):
         cache = TuningCache(None)

@@ -17,10 +17,6 @@ class TestCatalog:
         assert k20.idle_w == 20.0
         assert k20.active_base_w == 50.0
 
-    def test_k20_doubles_per_second(self):
-        """'it is able to get 26G data in double precision per second'."""
-        assert get_gpu("K20").doubles_per_second == pytest.approx(26.0)
-
     def test_kepler_doubles_fermi_registers(self):
         """'Kepler ... doubles the number of physical registers per SMX'."""
         assert get_gpu("K20").registers_per_sm == 2 * get_gpu("C2050").registers_per_sm

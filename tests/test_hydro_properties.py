@@ -116,20 +116,6 @@ class TestCornerForceInvariants:
 
 
 class TestStateProperties:
-    @given(alpha=st.floats(-2, 2, allow_nan=False), seed=st.integers(0, 2**31))
-    @settings(max_examples=20, deadline=None)
-    def test_axpy(self, alpha, seed):
-        rng = np.random.default_rng(seed)
-        s = HydroState(rng.standard_normal((5, 2)), rng.standard_normal(7),
-                       rng.standard_normal((5, 2)), 1.0)
-        dv = rng.standard_normal((5, 2))
-        de = rng.standard_normal(7)
-        dx = rng.standard_normal((5, 2))
-        s2 = s.axpy(alpha, dv, de, dx)
-        assert np.allclose(s2.v, s.v + alpha * dv)
-        assert np.allclose(s2.e, s.e + alpha * de)
-        assert s2.t == s.t
-
     def test_copy_is_deep(self):
         s = HydroState(np.zeros((2, 2)), np.zeros(3), np.zeros((2, 2)))
         c = s.copy()

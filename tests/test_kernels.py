@@ -37,7 +37,7 @@ from repro.kernels.k810_gemv import (
     kernel8_cost,
 )
 from repro.kernels.k9_pcg import pcg_step_costs, spmv_cost
-from repro.kernels.registry import all_kernels, corner_force_costs, full_step_costs, get_kernel
+from repro.kernels.registry import all_kernels, corner_force_costs
 
 K20 = get_gpu("K20")
 C2050 = get_gpu("C2050")
@@ -86,13 +86,10 @@ class TestTable2Inventory:
         assert {k.number for k in KERNEL_TABLE} == set(range(1, 12))
 
     def test_names_match_paper(self):
-        assert get_kernel(1).name == "kernel_CalcAjugate_det"
-        assert get_kernel(7).purpose == "Az B^T"
-        assert get_kernel(9).name == "CUDA_PCG"
-
-    def test_lookup_error(self):
-        with pytest.raises(KeyError):
-            get_kernel(12)
+        by_number = {k.number: k for k in KERNEL_TABLE}
+        assert by_number[1].name == "kernel_CalcAjugate_det"
+        assert by_number[7].purpose == "Az B^T"
+        assert by_number[9].name == "CUDA_PCG"
 
     def test_all_kernels_is_table(self):
         assert all_kernels() == KERNEL_TABLE
@@ -298,12 +295,6 @@ class TestPipelines:
             if not c.name.startswith(("kernel_loop_zones", "kernel_dgemvt"))
         )
         assert base == pytest.approx(opt, rel=0.35)
-
-    def test_full_step_includes_pcg_when_single_task(self):
-        costs = full_step_costs(CFG, pcg_iterations=20, use_cuda_pcg=True)
-        names = {c.name for c in costs}
-        assert any(n.startswith("csrMv") for n in names)
-        assert any(n.startswith("SpMV_ME") for n in names)
 
     def test_unknown_implementation(self):
         with pytest.raises(ValueError):

@@ -87,10 +87,3 @@ class TestMeshValidation:
         m = cartesian_mesh_2d(2, 2)
         with pytest.raises(ValueError):
             m.transform(lambda v: v[:1])
-
-    def test_boundary_vertices(self):
-        m = cartesian_mesh_2d(3, 3)
-        b = m.boundary_vertices()
-        assert b.size == 16 - 4  # 4x4 grid minus 4 interior... 12 boundary
-        interior = np.setdiff1d(np.arange(m.nverts), b)
-        assert interior.size == 4

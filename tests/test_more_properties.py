@@ -1,53 +1,15 @@
 """Additional property-based suites across the substrates."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fem.mesh import cartesian_mesh_2d
-from repro.fem.refinement import refine_uniform
 from repro.fem.spaces import H1Space, L2Space
 from repro.gpu import execute_kernel, get_gpu
 from repro.gpu.execution import KernelCost
 from repro.runtime.mpi_sim import CommCostModel, SimulatedComm
 from repro.tuning import Autotuner, ParamSpace
-
-
-class TestRefinementProperties:
-    @given(
-        nx=st.integers(1, 4),
-        ny=st.integers(1, 4),
-        w=st.floats(0.5, 3.0),
-        h=st.floats(0.5, 3.0),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_refined_mesh_conserves_area(self, nx, ny, w, h):
-        from repro.fem.geometry import GeometryEvaluator
-        from repro.fem.quadrature import tensor_quadrature
-
-        base = cartesian_mesh_2d(nx, ny, extent=((0.0, w), (0.0, h)))
-        fine = refine_uniform(base)
-        sp = H1Space(fine, 1)
-        quad = tensor_quadrature(2, 2)
-        area = GeometryEvaluator(sp, quad).zone_volumes(sp.node_coords).sum()
-        assert area == pytest.approx(w * h, rel=1e-10)
-
-    @given(nx=st.integers(1, 3), ny=st.integers(1, 3), levels=st.integers(0, 2))
-    @settings(max_examples=15, deadline=None)
-    def test_zone_count_growth(self, nx, ny, levels):
-        base = cartesian_mesh_2d(nx, ny)
-        fine = refine_uniform(base, levels)
-        assert fine.nzones == nx * ny * 4**levels
-
-    @given(order=st.integers(1, 3))
-    @settings(max_examples=10, deadline=None)
-    def test_h1_dofs_match_structured_formula(self, order):
-        """Refinement reproduces the structured dof count even though
-        the refined connectivity is unstructured."""
-        fine = refine_uniform(cartesian_mesh_2d(2, 2))
-        sp = H1Space(fine, order)
-        assert sp.ndof == (4 * order + 1) ** 2
 
 
 class TestCommProperties:

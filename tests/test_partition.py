@@ -3,55 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fem.mesh import cartesian_mesh_2d, cartesian_mesh_3d
-from repro.fem.partition import (
-    partition_balance,
-    partition_cartesian,
-    partition_rcb,
-    zone_adjacency,
-)
-
-
-class TestCartesianPartition:
-    def test_2d_split(self):
-        mesh = cartesian_mesh_2d(4, 4)
-        rank = partition_cartesian(mesh, (2, 2))
-        assert rank.shape == (16,)
-        assert set(rank) == {0, 1, 2, 3}
-        counts = np.bincount(rank)
-        assert np.all(counts == 4)
-
-    def test_3d_split(self):
-        mesh = cartesian_mesh_3d(4, 4, 4)
-        rank = partition_cartesian(mesh, (2, 2, 2))
-        assert np.all(np.bincount(rank) == 8)
-
-    def test_uneven_split_balanced(self):
-        mesh = cartesian_mesh_2d(5, 3)
-        rank = partition_cartesian(mesh, (2, 1))
-        counts = np.bincount(rank)
-        assert sorted(counts) == [6, 9]  # 2- and 3-column blocks x 3 rows
-
-    def test_contiguous_blocks(self):
-        """Zones of one rank form a contiguous block in x."""
-        mesh = cartesian_mesh_2d(4, 1)
-        rank = partition_cartesian(mesh, (2, 1))
-        assert list(rank) == [0, 0, 1, 1]
-
-    def test_single_part(self):
-        mesh = cartesian_mesh_2d(3, 3)
-        assert np.all(partition_cartesian(mesh, (1, 1)) == 0)
-
-    def test_rejects_too_many_parts(self):
-        mesh = cartesian_mesh_2d(2, 2)
-        with pytest.raises(ValueError):
-            partition_cartesian(mesh, (3, 1))
-
-    def test_requires_generator_mesh(self):
-        mesh = cartesian_mesh_2d(2, 2)
-        mesh.grid_shape = None
-        with pytest.raises(ValueError):
-            partition_cartesian(mesh, (2, 1))
+from repro.fem.partition import partition_rcb
 
 
 class TestRCB:
@@ -81,22 +33,3 @@ class TestRCB:
     def test_rejects_more_parts_than_zones(self, rng):
         with pytest.raises(ValueError):
             partition_rcb(rng.random((3, 2)), 4)
-
-
-class TestHelpers:
-    def test_balance_perfect(self):
-        assert partition_balance(np.array([0, 0, 1, 1])) == pytest.approx(1.0)
-
-    def test_balance_imbalanced(self):
-        assert partition_balance(np.array([0, 0, 0, 1])) == pytest.approx(1.5)
-
-    def test_zone_adjacency_2d(self):
-        mesh = cartesian_mesh_2d(2, 1)
-        edges = zone_adjacency(mesh)
-        assert edges == [(0, 1)]
-
-    def test_zone_adjacency_includes_corner_neighbors(self):
-        mesh = cartesian_mesh_2d(2, 2)
-        edges = zone_adjacency(mesh)
-        # All 4 zones share the center vertex: complete graph on 4.
-        assert len(edges) == 6

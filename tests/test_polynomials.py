@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.fem.polynomials import (
     LagrangeBasis1D,
-    equispaced_points,
     gauss_legendre,
     gauss_lobatto_points,
     legendre,
@@ -157,7 +156,3 @@ class TestLagrangeBasis:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             LagrangeBasis1D(np.array([]))
-
-    def test_equispaced_points(self):
-        assert np.allclose(equispaced_points(3), [0, 0.5, 1])
-        assert np.allclose(equispaced_points(1), [0.5])

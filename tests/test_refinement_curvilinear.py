@@ -1,4 +1,4 @@
-"""Tests for mesh refinement and curvilinear transformations."""
+"""Tests for curvilinear mesh transformations."""
 
 import numpy as np
 import pytest
@@ -13,89 +13,7 @@ from repro.fem.curvilinear import (
 from repro.fem.geometry import GeometryEvaluator
 from repro.fem.mesh import cartesian_mesh_2d, cartesian_mesh_3d
 from repro.fem.quadrature import tensor_quadrature
-from repro.fem.refinement import refine_uniform, refinement_levels_for_nodes
 from repro.fem.spaces import H1Space
-
-
-class TestRefinement:
-    def test_counts_2d(self):
-        m = refine_uniform(cartesian_mesh_2d(2, 3))
-        assert m.nzones == 4 * 6
-        assert m.nverts == (4 + 1) * (6 + 1)  # dedup worked
-
-    def test_counts_3d(self):
-        m = refine_uniform(cartesian_mesh_3d(2, 2, 2))
-        assert m.nzones == 64
-        assert m.nverts == 5**3
-
-    def test_volume_preserved(self):
-        base = cartesian_mesh_2d(3, 3)
-        fine = refine_uniform(base, levels=2)
-        sp = H1Space(fine, 1)
-        quad = tensor_quadrature(2, 2)
-        vols = GeometryEvaluator(sp, quad).zone_volumes(sp.node_coords)
-        assert vols.sum() == pytest.approx(1.0, rel=1e-12)
-        assert np.allclose(vols, 1.0 / fine.nzones)
-
-    def test_eight_x_growth_is_paper_weak_scaling(self):
-        """'one refinement level will make the domain size 8x bigger'."""
-        base = cartesian_mesh_3d(2, 2, 2)
-        fine = refine_uniform(base)
-        assert fine.nzones == 8 * base.nzones
-
-    def test_attributes_inherited(self):
-        base = cartesian_mesh_2d(2, 1)
-        base.zone_attributes[:] = [3, 7]
-        fine = refine_uniform(base)
-        assert sorted(set(fine.zone_attributes)) == [3, 7]
-        assert (fine.zone_attributes == 3).sum() == 4
-
-    def test_curved_parent_children_cover_it(self):
-        """Refining a transformed mesh preserves total volume."""
-        base = cartesian_mesh_2d(4, 4).transform(sinusoid(0.04))
-        sp0 = H1Space(base, 1)
-        quad = tensor_quadrature(2, 3)
-        v0 = GeometryEvaluator(sp0, quad).zone_volumes(sp0.node_coords).sum()
-        fine = refine_uniform(base)
-        sp1 = H1Space(fine, 1)
-        v1 = GeometryEvaluator(sp1, quad).zone_volumes(sp1.node_coords).sum()
-        assert v1 == pytest.approx(v0, rel=1e-12)
-
-    def test_zero_levels_identity(self):
-        m = cartesian_mesh_2d(2, 2)
-        assert refine_uniform(m, 0) is m
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            refine_uniform(cartesian_mesh_2d(1, 1), -1)
-
-    def test_solver_runs_on_refined_mesh(self):
-        from repro import LagrangianHydroSolver
-        from repro.problems.base import Problem
-
-        mesh = refine_uniform(cartesian_mesh_2d(2, 2))
-
-        class Quiet(Problem):
-            def e0(self, pts):
-                return np.ones(pts.shape[0])
-
-        solver = LagrangianHydroSolver(Quiet(mesh, 2))
-        res = solver.run(t_final=0.01)
-        assert res.reached_t_final
-        assert abs(res.energy_change) < 1e-12
-
-
-class TestLevelsForNodes:
-    def test_paper_ladder(self):
-        assert refinement_levels_for_nodes(8, 8) == 0
-        assert refinement_levels_for_nodes(8, 64) == 1
-        assert refinement_levels_for_nodes(8, 4096) == 3
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            refinement_levels_for_nodes(8, 100)
-        with pytest.raises(ValueError):
-            refinement_levels_for_nodes(8, 4)
 
 
 class TestCurvilinear:

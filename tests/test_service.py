@@ -255,6 +255,28 @@ class TestJournal:
         with pytest.raises(JournalCorruptionError, match="line 2"):
             JobJournal(path, strict=True)
 
+    def test_smoke_fleet_start_replays_the_journal_once(self, tmp_path, monkeypatch):
+        """Opening the journal and recovering from it read the file once:
+        one warning for the torn line, one digest per intact line."""
+        import repro.service.journal as journal_mod
+
+        path = tmp_path / "j.jsonl"
+        _write_journal(path, 3, kinds=("submit",))
+        path.write_bytes(path.read_bytes()[:-20])
+        digests = []
+        real_digest = journal_mod._record_digest
+        monkeypatch.setattr(journal_mod, "_record_digest",
+                            lambda r: digests.append(r["seq"]) or real_digest(r))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fleet = SimulationFleet(FleetConfig(workers=0), journal_path=path,
+                                    start=False)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1 and "line 3 is corrupt" in messages[0]
+        assert digests == [0, 1]
+        assert [h.job_id for h in fleet.recovered] == ["j0", "j1"]
+        fleet.shutdown(wait=False)
+
     def test_duplicate_terminal_records_first_wins(self, tmp_path):
         j = JobJournal(tmp_path / "j.jsonl")
         j.append("submit", job=JobSpec("sedov", TINY, job_id="a").to_dict())
@@ -462,6 +484,49 @@ class TestFleetSmoke:
         assert h2.result.cached
         assert h2.result.state_sha256 == h1.result.state_sha256
 
+    def test_smoke_recovered_twin_served_from_store(self, tmp_path):
+        # A job stranded by the crash whose twin (same computation,
+        # another job id) completed first is served at recovery.
+        journal = tmp_path / "journal.jsonl"
+        f1 = inline_fleet(journal_path=journal,
+                          config=FleetConfig(workers=0, reuse_results=False))
+        first = f1.submit("sedov", TINY, job_id="first")
+        f1.submit("sedov", TINY, job_id="twin")
+        f1.process(1)
+        f1.kill()
+
+        f2 = inline_fleet(journal_path=journal)
+        (twin,) = f2.recovered
+        assert twin.done and twin.result.cached and twin.result.wall_s == 0.0
+        assert twin.result.job_id == "twin" and twin.result.status == "succeeded"
+        assert twin.result.state_sha256 == first.result.state_sha256
+        assert [r["type"] for r in JobJournal(journal).replay()] == [
+            "submit", "submit", "start", "complete", "complete"]
+        jobs = f2.rollup()["jobs"]
+        assert (jobs["submitted"], jobs["recovered"], jobs["completed"],
+                jobs["cached"]) == (1, 1, 1, 1)
+        assert [e["event"] for e in f2.events if e.get("job_id") == "twin"] == [
+            "job_recovered_cached"]
+
+    def test_smoke_queued_duplicate_served_from_store(self, tmp_path):
+        # Both submissions miss the store and queue; the second is served
+        # from it once the first has completed.
+        journal = tmp_path / "journal.jsonl"
+        fleet = inline_fleet(journal_path=journal)
+        first = fleet.submit("sedov", TINY, job_id="first")
+        twin = fleet.submit("sedov", TINY, job_id="twin")
+        assert not twin.done
+        fleet.process()
+        assert twin.result.cached and twin.result.wall_s == 0.0
+        assert twin.result.job_id == "twin" and twin.result.status == "succeeded"
+        assert twin.result.state_sha256 == first.result.state_sha256
+        assert [r["type"] for r in JobJournal(journal).replay()] == [
+            "submit", "submit", "start", "complete", "complete"]
+        jobs = fleet.rollup()["jobs"]
+        assert (jobs["submitted"], jobs["completed"], jobs["cached"]) == (2, 2, 1)
+        assert [e["event"] for e in fleet.events if e.get("job_id") == "twin"] == [
+            "job_admitted", "job_cached"]
+
     def test_smoke_journal_recovery_after_kill(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         f1 = inline_fleet(journal_path=journal)
@@ -644,7 +709,7 @@ class TestFleetBehavior:
         fleet = SimulationFleet(FleetConfig(workers=2))
         handles = [fleet.submit("sedov", TINY.replace(max_steps=m))
                    for m in range(1, 7)]
-        results = fleet.wait_all(timeout=120)
+        results = [h.wait(120) for h in handles]
         assert len(results) == 6 and all(r.ok for r in results)
         fleet.shutdown()
         assert fleet.rollup()["jobs"]["completed"] == 6
@@ -659,10 +724,14 @@ class TestFleetBehavior:
         assert r.ok and not r.warm
 
     def test_fleet_manifest_export(self, tmp_path):
+        from repro.telemetry import FleetManifest
+
         fleet = inline_fleet()
         fleet.submit("sedov", TINY)
         fleet.process()
-        manifest = fleet.write_manifest(tmp_path / "fleet.json")
+        # `repro serve --manifest` writes the rollup this way.
+        manifest = FleetManifest.from_rollup(fleet.rollup())
+        manifest.write(tmp_path / "fleet.json")
         data = json.loads((tmp_path / "fleet.json").read_text())
         assert data["jobs"]["completed"] == 1
         assert "p99" in data["latency_s"]

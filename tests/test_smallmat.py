@@ -9,7 +9,6 @@ from repro.linalg.smallmat import (
     batched_adjugate,
     batched_det,
     batched_inverse,
-    batched_trace,
 )
 
 
@@ -64,12 +63,6 @@ class TestInverse:
         a = np.zeros((1, 2, 2))
         with pytest.raises(np.linalg.LinAlgError):
             batched_inverse(a)
-
-
-class TestTrace:
-    def test_matches_numpy(self, rng):
-        a = rng.standard_normal((9, 3, 3))
-        assert np.allclose(batched_trace(a), np.trace(a, axis1=-2, axis2=-1))
 
 
 class TestProperties:

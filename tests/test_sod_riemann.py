@@ -108,66 +108,3 @@ class TestSodShockTube:
         jump = np.flatnonzero((rs[:-1] > 0.2) & (rs[1:] < 0.2))
         assert jump.size > 0
         assert xs[jump[-1]] == pytest.approx(0.8504, abs=0.05)
-
-
-class TestCholesky:
-    def spd(self, rng, nb, n):
-        a = rng.standard_normal((nb, n, n))
-        return a @ np.swapaxes(a, 1, 2) + n * np.eye(n)
-
-    def test_factorization(self, rng):
-        from repro.linalg import batched_cholesky
-
-        a = self.spd(rng, 6, 4)
-        L = batched_cholesky(a)
-        assert np.allclose(L @ np.swapaxes(L, 1, 2), a, atol=1e-10)
-        # strictly lower triangular above diagonal
-        assert np.allclose(np.triu(L, k=1), 0.0)
-
-    def test_solve_matches_inverse(self, rng):
-        from repro.linalg import batched_cholesky, batched_cholesky_solve
-
-        a = self.spd(rng, 5, 3)
-        L = batched_cholesky(a)
-        b = rng.standard_normal((5, 3))
-        x = batched_cholesky_solve(L, b)
-        assert np.allclose(np.einsum("bij,bj->bi", a, x), b, atol=1e-9)
-
-    def test_mass_blocks_end_to_end(self):
-        """Factor the real thermodynamic mass blocks and solve through
-        them — matching the explicit-inverse path to roundoff."""
-        from repro import SedovProblem, LagrangianHydroSolver
-        from repro.linalg import batched_cholesky, batched_cholesky_solve
-
-        s = LagrangianHydroSolver(SedovProblem(dim=2, order=3, zones_per_dim=2))
-        blocks = s.mass_e.blocks
-        L = batched_cholesky(blocks)
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal(s.mass_e.n)
-        via_chol = batched_cholesky_solve(
-            L, b.reshape(s.mass_e.nblocks, -1)
-        ).ravel()
-        assert np.allclose(via_chol, s.mass_e.solve(b), atol=1e-10)
-
-    def test_not_spd_raises(self):
-        from repro.linalg import batched_cholesky
-
-        with pytest.raises(np.linalg.LinAlgError):
-            batched_cholesky(np.array([[[1.0, 2.0], [2.0, 1.0]]]))  # indefinite
-
-    def test_triangular_solve_validation(self, rng):
-        from repro.linalg import batched_triangular_solve
-
-        with pytest.raises(ValueError):
-            batched_triangular_solve(np.eye(3)[None], np.ones((1, 4)))
-
-    @given(seed=st.integers(0, 2**31), n=st.integers(1, 6))
-    @settings(max_examples=30, deadline=None)
-    def test_cholesky_property(self, seed, n):
-        from repro.linalg import batched_cholesky
-
-        rng = np.random.default_rng(seed)
-        a = self.spd(rng, 3, n)
-        L = batched_cholesky(a)
-        assert np.allclose(L @ np.swapaxes(L, 1, 2), a, rtol=1e-8, atol=1e-8)
-        assert np.all(np.einsum("bii->bi", L) > 0)
